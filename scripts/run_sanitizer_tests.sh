@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
-# Build with a sanitizer and run the concurrency-sensitive tests: the
-# engine, the checksum kernels, the fault-injection chaos suite, the
+# Build with a sanitizer and run the concurrency-sensitive tests and the
+# stage kernels: the engine, the vector stage kernels and their scalar
+# references (flenc, prequant, block codec, checksum, and the dispatch
+# differential test, where an unaligned vector load or store past a
+# buffer would show), the fault-injection chaos suite, the
 # observability registry/tracer suite, the network service suite
 # (reader/worker threads, BufferPool, shutdown paths), the network
 # chaos suite (ChaosProxy relay threads, client retry loop, drain), the
@@ -43,7 +46,8 @@ cmake -B "$BUILD_DIR" -S . \
   "${EXTRA_FLAGS[@]}"
 
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
-  --target test_engine test_checksum test_fault_injection test_obs \
+  --target test_engine test_checksum test_flenc test_prequant \
+  test_block_codec test_kernels_dispatch test_fault_injection test_obs \
   test_service test_chaos test_tenant test_wafer_sim
 
 cd "$BUILD_DIR"
@@ -53,5 +57,5 @@ else
   export ASAN_OPTIONS="halt_on_error=1 detect_stack_use_after_return=1"
 fi
 ctest --output-on-failure \
-  -R '^test_(engine|checksum|fault_injection|obs|service|chaos|tenant|wafer_sim)$'
+  -R '^test_(engine|checksum|flenc|prequant|block_codec|kernels_dispatch|fault_injection|obs|service|chaos|tenant|wafer_sim)$'
 echo "${MODE} sanitizer tests passed."

@@ -1,6 +1,13 @@
 #include "common/checksum.h"
 
 #include <array>
+#include <cstring>
+
+#include "common/cpu_features.h"
+
+#if CERESZ_X86_KERNELS
+#include <immintrin.h>
+#endif
 
 namespace ceresz {
 
@@ -33,9 +40,105 @@ constexpr SliceTables make_tables() {
 
 constexpr SliceTables kTables = make_tables();
 
+// Appending n zero bytes to a message maps the raw (uninverted) CRC state
+// s to a linear function of s, so it is four table lookups, one per byte
+// of s. This is what lets independent streams over consecutive pieces of
+// a buffer be combined: crc(A|B) = zeros_|B|(crc(A)) ^ crc_from_0(B).
+struct ZeroShift {
+  std::array<std::array<u32, 256>, 4> t{};
+
+  constexpr u32 operator()(u32 s) const {
+    return t[0][s & 0xffu] ^ t[1][(s >> 8) & 0xffu] ^
+           t[2][(s >> 16) & 0xffu] ^ t[3][s >> 24];
+  }
+};
+
+constexpr ZeroShift make_zero_shift(std::size_t zero_bytes) {
+  std::array<u32, 32> basis{};  // image of each single-bit state
+  for (u32 bit = 0; bit < 32; ++bit) {
+    u32 crc = 1u << bit;
+    for (std::size_t i = 0; i < zero_bytes; ++i) {
+      crc = kTables[0][crc & 0xffu] ^ (crc >> 8);
+    }
+    basis[bit] = crc;
+  }
+  ZeroShift z;
+  for (u32 byte = 0; byte < 4; ++byte) {
+    for (u32 v = 0; v < 256; ++v) {
+      u32 image = 0;
+      for (u32 j = 0; j < 8; ++j) {
+        if ((v >> j) & 1u) image ^= basis[8 * byte + j];
+      }
+      z.t[byte][v] = image;
+    }
+  }
+  return z;
+}
+
+#if CERESZ_X86_KERNELS
+// The crc32 instruction folds 8 bytes into the reflected CRC32C state per
+// step, the same state the tables carry, so the result is identical. One
+// stream is bound by the instruction's latency; three independent streams
+// over adjacent pieces keep it busy every cycle and are joined with a
+// ZeroShift per piece.
+constexpr std::size_t kLongStream = 8192;
+constexpr std::size_t kShortStream = 256;
+constexpr ZeroShift kShiftLong = make_zero_shift(kLongStream);
+constexpr ZeroShift kShiftShort = make_zero_shift(kShortStream);
+
+__attribute__((target("sse4.2"))) u64 crc32c_word(u64 crc, const u8* p) {
+  u64 word = 0;
+  std::memcpy(&word, p, sizeof(word));
+  return _mm_crc32_u64(crc, word);
+}
+
+/// Runs three streams of `piece` bytes each while at least 3 * piece
+/// bytes remain.
+__attribute__((target("sse4.2"))) u32 crc32c_three_streams(
+    u32 crc, const u8*& p, std::size_t& n, std::size_t piece,
+    const ZeroShift& shift) {
+  while (n >= 3 * piece) {
+    u64 a = crc;
+    u64 b = 0;
+    u64 c = 0;
+    for (std::size_t i = 0; i < piece; i += 8) {
+      a = crc32c_word(a, p + i);
+      b = crc32c_word(b, p + piece + i);
+      c = crc32c_word(c, p + 2 * piece + i);
+    }
+    crc = shift(shift(static_cast<u32>(a)) ^ static_cast<u32>(b)) ^
+          static_cast<u32>(c);
+    p += 3 * piece;
+    n -= 3 * piece;
+  }
+  return crc;
+}
+
+__attribute__((target("sse4.2"))) u32 crc32c_sse42(std::span<const u8> data,
+                                                   u32 seed) {
+  const u8* p = data.data();
+  std::size_t n = data.size();
+  u32 crc = ~seed;
+  crc = crc32c_three_streams(crc, p, n, kLongStream, kShiftLong);
+  crc = crc32c_three_streams(crc, p, n, kShortStream, kShiftShort);
+  u64 wide = crc;
+  for (; n >= 8; p += 8, n -= 8) wide = crc32c_word(wide, p);
+  crc = static_cast<u32>(wide);
+  for (; n > 0; ++p, --n) crc = _mm_crc32_u8(crc, *p);
+  return ~crc;
+}
+#endif
+
 }  // namespace
 
 u32 crc32c(std::span<const u8> data, u32 seed) {
+#if CERESZ_X86_KERNELS
+  if (cpu::has_sse42()) return crc32c_sse42(data, seed);
+#endif
+  return crc32c_sw(data, seed);
+}
+
+u32 crc32c_sw(std::span<const u8> data, u32 seed) {
   u32 crc = ~seed;
   const u8* p = data.data();
   std::size_t n = data.size();

@@ -1,10 +1,13 @@
 // CRC32C (Castagnoli) checksum, used by the chunked container to detect
-// and localize payload corruption per chunk.
+// and localize payload corruption per chunk, and by the CSNP frames.
 //
-// Software implementation (slicing-by-8): the container format stores
-// plain CRC32C values, so a future hardware-accelerated path (SSE4.2
-// crc32 / ARMv8 CRC instructions) can be swapped in without a format
-// change.
+// Two implementations compute the same function: crc32c_sw is the
+// portable reference (slicing-by-8 tables), and crc32c runs the SSE4.2
+// crc32 instruction on three interleaved streams when the CPU has it
+// (chosen once at runtime, see
+// common/cpu_features.h) and the reference otherwise. The stored values
+// are plain CRC32C either way, so the formats do not depend on the path;
+// tests/test_kernels_dispatch.cpp checks the two agree byte for byte.
 #pragma once
 
 #include <span>
@@ -16,6 +19,9 @@ namespace ceresz {
 /// CRC32C of `data`. `seed` is the running CRC for incremental use:
 /// crc32c(ab) == crc32c(b, crc32c(a)).
 u32 crc32c(std::span<const u8> data, u32 seed = 0);
+
+/// Scalar reference of crc32c (slicing-by-8), same contract.
+u32 crc32c_sw(std::span<const u8> data, u32 seed = 0);
 
 /// Streaming accumulator over multiple buffers.
 class Crc32c {

@@ -1,6 +1,8 @@
 #include "core/block_codec.h"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 
 #include "common/error.h"
 #include "core/flenc.h"
@@ -8,6 +10,35 @@
 #include "core/prequant.h"
 
 namespace ceresz::core {
+
+namespace {
+
+// Blocks of up to this many elements keep their per-call scratch on the
+// stack; larger block sizes fall back to the heap.
+constexpr std::size_t kStackElems = 256;
+
+template <class T>
+class Scratch {
+ public:
+  explicit Scratch(std::size_t n) : n_(n) {
+    if (n > kStackElems) heap_.resize(n);
+  }
+  Scratch(const Scratch&) = delete;
+  Scratch& operator=(const Scratch&) = delete;
+
+  std::span<T> span() {
+    return {n_ > kStackElems ? heap_.data() : local_.data(), n_};
+  }
+
+ private:
+  std::size_t n_;
+  // Left uninitialized: every kernel that takes this scratch writes each
+  // element before anything reads it.
+  std::array<T, kStackElems> local_;
+  std::vector<T> heap_;
+};
+
+}  // namespace
 
 BlockCodec::BlockCodec(CodecConfig config) : config_(config) {
   config_.validate();
@@ -20,12 +51,15 @@ std::size_t BlockCodec::compressed_size(u32 fl) const {
   return config_.header_bytes + plane_bytes + fl * plane_bytes;
 }
 
-void BlockCodec::write_header(u32 fl, std::vector<u8>& out) const {
+u8* BlockCodec::append_record(u32 fl, std::vector<u8>& out) const {
+  const std::size_t at = out.size();
+  out.resize(at + compressed_size(fl));
   // Little-endian, header_bytes wide. fl <= 32 always fits in one byte;
   // CereSZ pads to 4 bytes to honor the fabric's 32-bit transfer units.
   for (u32 b = 0; b < config_.header_bytes; ++b) {
-    out.push_back(static_cast<u8>((fl >> (8 * b)) & 0xff));
+    out[at + b] = static_cast<u8>((fl >> (8 * b)) & 0xff);
   }
+  return out.data() + at + config_.header_bytes;
 }
 
 u32 BlockCodec::read_header(std::span<const u8> in) const {
@@ -47,24 +81,27 @@ BlockInfo BlockCodec::compress(std::span<const f32> input, f64 eps,
   CERESZ_CHECK(input.size() == L, "BlockCodec::compress: wrong block size");
   CERESZ_CHECK(eps > 0.0, "BlockCodec::compress: eps must be positive");
 
+  Scratch<i32> quant_buf(L);
+  Scratch<u32> abs_buf(L);
+  Scratch<u8> sign_buf(L / 8);
+  const std::span<i32> quant = quant_buf.span();
+  const std::span<u32> abs_values = abs_buf.span();
+  const std::span<u8> signs = sign_buf.span();
+
   // Stage 1: pre-quantization.
-  std::vector<i32> quant(L);
   prequant(input, quant, 2.0 * eps);
 
   // Stage 2: 1-D Lorenzo prediction (in place).
   lorenzo_forward(quant, quant);
 
   // Stage 3: fixed-length encoding.
-  std::vector<u32> abs_values(L);
-  std::vector<u8> signs(L / 8);
-  split_sign(quant, abs_values, signs);
-  const u32 maxval = block_max(abs_values);
+  const u32 maxval = split_sign_max(quant, abs_values, signs);
   const u32 fl = effective_bits(maxval);
 
   BlockInfo info;
   if (config_.zero_block_shortcut && maxval == 0) {
     // All-zero quantized block: a bare header with fixed length 0.
-    write_header(0, out);
+    append_record(0, out);
     info.fixed_length = 0;
     info.zero_block = true;
     info.compressed_bytes = config_.header_bytes;
@@ -82,10 +119,10 @@ BlockInfo BlockCodec::compress(std::span<const f32> input, f64 eps,
       }
     }
     if (constant) {
-      write_header(kConstantMarker, out);
+      u8* body = append_record(kConstantMarker, out);
       const u32 value = static_cast<u32>(quant[0]);
       for (int b = 0; b < 4; ++b) {
-        out.push_back(static_cast<u8>((value >> (8 * b)) & 0xff));
+        body[b] = static_cast<u8>((value >> (8 * b)) & 0xff);
       }
       info.fixed_length = 0;
       info.constant_block = true;
@@ -99,13 +136,11 @@ BlockInfo BlockCodec::compress(std::span<const f32> input, f64 eps,
   // block", so when the shortcut is disabled an all-zero block is encoded
   // with fl = 1 (one explicit zero plane).
   const u32 encoded_fl = std::max(fl, 1u);
-  write_header(encoded_fl, out);
-  out.insert(out.end(), signs.begin(), signs.end());
   const std::size_t plane_bytes = L / 8;
-  const std::size_t payload_at = out.size();
-  out.resize(out.size() + encoded_fl * plane_bytes);
+  u8* body = append_record(encoded_fl, out);
+  std::memcpy(body, signs.data(), plane_bytes);
   bit_shuffle(abs_values, encoded_fl,
-              std::span<u8>(out.data() + payload_at, encoded_fl * plane_bytes));
+              std::span<u8>(body + plane_bytes, encoded_fl * plane_bytes));
 
   info.fixed_length = encoded_fl;
   info.zero_block = false;
@@ -143,9 +178,11 @@ std::size_t BlockCodec::decompress(std::span<const u8> in, f64 eps,
   const std::span<const u8> planes =
       in.subspan(config_.header_bytes + plane_bytes, fl * plane_bytes);
 
-  std::vector<u32> abs_values(L);
+  Scratch<u32> abs_buf(L);
+  Scratch<i32> quant_buf(L);
+  const std::span<u32> abs_values = abs_buf.span();
+  const std::span<i32> quant = quant_buf.span();
   bit_unshuffle(planes, fl, abs_values);
-  std::vector<i32> quant(L);
   apply_sign(abs_values, signs, quant);
   lorenzo_inverse(quant, quant);
   dequant(quant, output, 2.0 * eps);

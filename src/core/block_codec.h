@@ -54,7 +54,9 @@ class BlockCodec {
 
  private:
   u32 read_header(std::span<const u8> in) const;
-  void write_header(u32 fl, std::vector<u8>& out) const;
+  /// Grow `out` by one record of fixed length `fl`, write its header and
+  /// return a pointer to the (zero-filled) body after the header.
+  u8* append_record(u32 fl, std::vector<u8>& out) const;
 
   CodecConfig config_;
 };

@@ -1,8 +1,14 @@
 #include "core/prequant.h"
 
+#include <algorithm>
 #include <cmath>
 
+#include "common/cpu_features.h"
 #include "common/error.h"
+
+#if CERESZ_X86_KERNELS
+#include <immintrin.h>
+#endif
 
 namespace ceresz::core {
 
@@ -11,6 +17,108 @@ namespace {
 // of Section 3 is exact even at extreme magnitude ratios; the stored
 // quantized values are 32-bit integers as on the PE.
 constexpr f64 kMaxQuant = 2147483647.0;
+constexpr f64 kMinQuant = -kMaxQuant - 1.0;
+
+/// False for NaN as well as for values outside the i32 range.
+bool in_range(f64 rounded) {
+  return rounded >= kMinQuant && rounded <= kMaxQuant;
+}
+
+[[noreturn]] void throw_out_of_range(bool finite_input) {
+  if (!finite_input) {
+    CERESZ_FAIL("prequant: non-finite input value (NaN or infinity)");
+  }
+  CERESZ_FAIL(
+      "prequant: quantized value exceeds 32 bits; the error bound is too "
+      "small for this data's magnitude");
+}
+
+/// Cold path of both prequant kernels: a block failed the range check,
+/// so rescan it to tell bad input from a too-small error bound.
+[[noreturn]] void report_prequant_failure(std::span<const f32> input) {
+  throw_out_of_range(std::all_of(input.begin(), input.end(),
+                                 [](f32 x) { return std::isfinite(x); }));
+}
+
+/// Writes every output, then returns whether all of them were in range.
+bool prequant_scalar(const f32* in, std::size_t n, f64 recip, i32* out) {
+  bool ok = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    const f64 rounded = std::floor(static_cast<f64>(in[i]) * recip + 0.5);
+    ok &= in_range(rounded);
+    out[i] = in_range(rounded) ? static_cast<i32>(rounded) : 0;
+  }
+  return ok;
+}
+
+void dequant_scalar(const i32* in, std::size_t n, f64 two_eps, f32* out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<f32>(static_cast<f64>(in[i]) * two_eps);
+  }
+}
+
+#if CERESZ_X86_KERNELS
+// Four f64 lanes; the multiply, the +0.5 and the floor stay separate IEEE
+// operations exactly as in the scalar code. "fma" is deliberately absent
+// from the target: a fused multiply-add rounds once and would change
+// quantized values near .5 boundaries.
+#define CERESZ_AVX2 __attribute__((target("avx2")))
+
+CERESZ_AVX2 bool prequant_avx2(const f32* in, std::size_t n, f64 recip,
+                               i32* out) {
+  const __m256d r = _mm256_set1_pd(recip);
+  const __m256d half = _mm256_set1_pd(0.5);
+  const __m256d lo = _mm256_set1_pd(kMinQuant);
+  const __m256d hi = _mm256_set1_pd(kMaxQuant);
+  // Ordered compares are false for NaN, like the scalar check.
+  __m256d ok = _mm256_cmp_pd(half, half, _CMP_EQ_OQ);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d x = _mm256_cvtps_pd(_mm_loadu_ps(in + i));
+    const __m256d q =
+        _mm256_floor_pd(_mm256_add_pd(_mm256_mul_pd(x, r), half));
+    ok = _mm256_and_pd(ok, _mm256_and_pd(_mm256_cmp_pd(q, lo, _CMP_GE_OQ),
+                                         _mm256_cmp_pd(q, hi, _CMP_LE_OQ)));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
+                     _mm256_cvttpd_epi32(q));
+  }
+  const bool tail_ok = prequant_scalar(in + i, n - i, recip, out + i);
+  return tail_ok && _mm256_movemask_pd(ok) == 0xf;
+}
+
+CERESZ_AVX2 void dequant_avx2(const i32* in, std::size_t n, f64 two_eps,
+                              f32* out) {
+  const __m256d t = _mm256_set1_pd(two_eps);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d v = _mm256_cvtepi32_pd(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i)));
+    _mm_storeu_ps(out + i, _mm256_cvtpd_ps(_mm256_mul_pd(v, t)));
+  }
+  dequant_scalar(in + i, n - i, two_eps, out + i);
+}
+
+#undef CERESZ_AVX2
+#endif
+
+using PrequantKernel = bool (*)(const f32*, std::size_t, f64, i32*);
+using DequantKernel = void (*)(const i32*, std::size_t, f64, f32*);
+
+void prequant_with(PrequantKernel kernel, std::span<const f32> input,
+                   std::span<i32> output, f64 two_eps) {
+  CERESZ_CHECK(input.size() == output.size(), "prequant: size mismatch");
+  CERESZ_CHECK(two_eps > 0.0, "prequant: error bound must be positive");
+  if (!kernel(input.data(), input.size(), 1.0 / two_eps, output.data())) {
+    report_prequant_failure(input);
+  }
+}
+
+void dequant_with(DequantKernel kernel, std::span<const i32> input,
+                  std::span<f32> output, f64 two_eps) {
+  CERESZ_CHECK(input.size() == output.size(), "dequant: size mismatch");
+  kernel(input.data(), input.size(), two_eps, output.data());
+}
+
 }  // namespace
 
 void prequant_multiply(std::span<const f32> input, std::span<f64> scratch,
@@ -27,31 +135,39 @@ void prequant_add_floor(std::span<const f64> scratch, std::span<i32> output) {
                "prequant_add_floor: size mismatch");
   for (std::size_t i = 0; i < scratch.size(); ++i) {
     const f64 rounded = std::floor(scratch[i] + 0.5);
-    CERESZ_CHECK(rounded >= -kMaxQuant - 1.0 && rounded <= kMaxQuant,
-                 "prequant: quantized value exceeds 32 bits; the error bound "
-                 "is too small for this data's magnitude");
+    // ε is positive and finite, so a non-finite product means the input
+    // was not finite.
+    if (!in_range(rounded)) throw_out_of_range(std::isfinite(scratch[i]));
     output[i] = static_cast<i32>(rounded);
   }
 }
 
 void prequant(std::span<const f32> input, std::span<i32> output, f64 two_eps) {
-  CERESZ_CHECK(input.size() == output.size(), "prequant: size mismatch");
-  CERESZ_CHECK(two_eps > 0.0, "prequant: error bound must be positive");
-  const f64 recip = 1.0 / two_eps;
-  for (std::size_t i = 0; i < input.size(); ++i) {
-    const f64 rounded = std::floor(static_cast<f64>(input[i]) * recip + 0.5);
-    CERESZ_CHECK(rounded >= -kMaxQuant - 1.0 && rounded <= kMaxQuant,
-                 "prequant: quantized value exceeds 32 bits; the error bound "
-                 "is too small for this data's magnitude");
-    output[i] = static_cast<i32>(rounded);
-  }
+  PrequantKernel kernel = prequant_scalar;
+#if CERESZ_X86_KERNELS
+  if (cpu::has_avx2()) kernel = prequant_avx2;
+#endif
+  prequant_with(kernel, input, output, two_eps);
 }
 
 void dequant(std::span<const i32> input, std::span<f32> output, f64 two_eps) {
-  CERESZ_CHECK(input.size() == output.size(), "dequant: size mismatch");
-  for (std::size_t i = 0; i < input.size(); ++i) {
-    output[i] = static_cast<f32>(static_cast<f64>(input[i]) * two_eps);
-  }
+  DequantKernel kernel = dequant_scalar;
+#if CERESZ_X86_KERNELS
+  if (cpu::has_avx2()) kernel = dequant_avx2;
+#endif
+  dequant_with(kernel, input, output, two_eps);
 }
+
+namespace scalar {
+
+void prequant(std::span<const f32> input, std::span<i32> output, f64 two_eps) {
+  prequant_with(prequant_scalar, input, output, two_eps);
+}
+
+void dequant(std::span<const i32> input, std::span<f32> output, f64 two_eps) {
+  dequant_with(dequant_scalar, input, output, two_eps);
+}
+
+}  // namespace scalar
 
 }  // namespace ceresz::core

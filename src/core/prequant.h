@@ -6,6 +6,14 @@
 // rounding is an addition of 0.5 followed by a floor; the two halves are
 // exposed separately because they are distinct pipeline sub-stages with
 // very different cycle costs (Table 2).
+//
+// Kernel dispatch: prequant and dequant run four f64 lanes of AVX2 when
+// the CPU has it (detected once at runtime, common/cpu_features.h) and
+// the scalar reference in namespace `scalar` otherwise. The vector path
+// keeps the multiply, the +0.5 and the floor as separate IEEE operations
+// (no FMA: the ε argument relies on each rounding), so both paths write
+// identical values and throw the same Error for the same input;
+// tests/test_kernels_dispatch.cpp enforces this.
 #pragma once
 
 #include <span>
@@ -19,14 +27,24 @@ void prequant_multiply(std::span<const f32> input, std::span<f64> scratch,
                        f64 recip_two_eps);
 
 /// Sub-stage 1b (Addition): p_i = floor(scratch_i + 0.5).
-/// Throws if a quantized value does not fit in 32 bits (error bound too
-/// small for the data's magnitude).
+/// Throws if a quantized value does not fit in 32 bits: "non-finite input
+/// value" when scratch_i is NaN or infinite, otherwise "the error bound
+/// is too small for this data's magnitude".
 void prequant_add_floor(std::span<const f64> scratch, std::span<i32> output);
 
-/// Fused convenience form of the two sub-stages.
+/// Fused form of the two sub-stages. The whole span is range-checked
+/// once; on failure it is rescanned and the Error says "non-finite input
+/// value" if any input is NaN or infinite, otherwise that the error bound
+/// is too small. `output` is unspecified after a throw.
 void prequant(std::span<const f32> input, std::span<i32> output, f64 two_eps);
 
 /// Inverse: e'_i = p_i · 2ε.
 void dequant(std::span<const i32> input, std::span<f32> output, f64 two_eps);
+
+/// Scalar reference implementations of the dispatched kernels above.
+namespace scalar {
+void prequant(std::span<const f32> input, std::span<i32> output, f64 two_eps);
+void dequant(std::span<const i32> input, std::span<f32> output, f64 two_eps);
+}  // namespace scalar
 
 }  // namespace ceresz::core

@@ -86,8 +86,7 @@ CompressionResult Tiled2dCodec::compress(std::span<const f32> field,
                   ty * config_.tile_h, config_.tile_w, config_.tile_h, tile);
       prequant(tile, quant, 2.0 * eps);
       lorenzo2d_forward(quant, resid, config_.tile_w, config_.tile_h);
-      split_sign(resid, absv, signs);
-      const u32 maxval = block_max(absv);
+      const u32 maxval = split_sign_max(resid, absv, signs);
       ++result.stats.total_blocks;
       if (config_.zero_block_shortcut && maxval == 0) {
         write_header(0);

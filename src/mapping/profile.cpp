@@ -47,8 +47,7 @@ DataProfile StageProfiler::profile(std::span<const f32> data,
     const u64 b = rng.next_below(n_blocks);
     core::prequant(data.subspan(b * L, L), quant, 2.0 * p.eps_abs);
     core::lorenzo_forward(quant, quant);
-    core::split_sign(quant, absv, signs);
-    const u32 m = core::block_max(absv);
+    const u32 m = core::split_sign_max(quant, absv, signs);
     if (m == 0) {
       ++zero_blocks;
     } else {

@@ -265,22 +265,47 @@ FrameMeta echo_meta(const FrameHeader& request) {
   return FrameMeta(request.tenant, request.trace, request.version);
 }
 
-void append_frame(std::vector<u8>& out, Opcode op, Status status,
-                  u64 request_id, std::span<const u8> payload,
-                  FrameMeta meta) {
+namespace {
+
+/// Reserve room for the whole frame in `out` and append its header.
+void append_header_for(std::vector<u8>& out, Opcode op, Status status,
+                       u64 request_id, u64 payload_bytes, u32 payload_crc,
+                       const FrameMeta& meta) {
   FrameHeader h;
   h.version = meta.version;
   h.opcode = op;
   h.status = status;
   h.request_id = request_id;
-  h.payload_bytes = payload.size();
-  h.payload_crc = payload.empty() ? 0 : crc32c(payload);
+  h.payload_bytes = payload_bytes;
+  h.payload_crc = payload_crc;
   h.tenant = meta.tenant;
   h.trace = meta.trace;
-  out.reserve(out.size() + frame_header_bytes(meta.version) +
-              payload.size());
+  out.reserve(out.size() + frame_header_bytes(meta.version) + payload_bytes);
   append_frame_header(out, h);
+}
+
+}  // namespace
+
+void append_frame(std::vector<u8>& out, Opcode op, Status status,
+                  u64 request_id, std::span<const u8> payload,
+                  FrameMeta meta) {
+  append_header_for(out, op, status, request_id, payload.size(),
+                    payload.empty() ? 0 : crc32c(payload), meta);
   out.insert(out.end(), payload.begin(), payload.end());
+}
+
+void append_decompress_response_frame(std::vector<u8>& out, u64 request_id,
+                                      std::span<const f32> values,
+                                      FrameMeta meta) {
+  std::vector<u8> count;
+  append_u64(count, values.size());
+  const std::span<const u8> bytes(reinterpret_cast<const u8*>(values.data()),
+                                  values.size_bytes());
+  append_header_for(out, Opcode::kDecompress, Status::kOk, request_id,
+                    count.size() + bytes.size(),
+                    crc32c(bytes, crc32c(count)), meta);
+  out.insert(out.end(), count.begin(), count.end());
+  out.insert(out.end(), bytes.begin(), bytes.end());
 }
 
 bool payload_crc_ok(const FrameHeader& header, std::span<const u8> payload) {

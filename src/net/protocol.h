@@ -262,6 +262,14 @@ void append_frame(std::vector<u8>& out, Opcode op, Status status,
                   u64 request_id, std::span<const u8> payload,
                   FrameMeta meta = {});
 
+/// Append a complete OK DECOMPRESS response frame carrying `values`,
+/// writing the payload straight into `out` with its CRC chained over the
+/// count and the values. Byte-identical to append_frame over a payload
+/// built by append_decompress_response, without that payload copy.
+void append_decompress_response_frame(std::vector<u8>& out, u64 request_id,
+                                      std::span<const f32> values,
+                                      FrameMeta meta = {});
+
 /// Does `payload` match the CRC its header declared? Called by both
 /// peers after the payload read, before any decoding.
 bool payload_crc_ok(const FrameHeader& header, std::span<const u8> payload);

@@ -635,9 +635,7 @@ struct ServiceServer::Impl {
           const obs::SpanGuard encode_span(options_.tracer, "server.encode",
                                            "server", "request_id",
                                            static_cast<i64>(id));
-          std::vector<u8> body;
-          append_decompress_response(body, result.values);
-          append_frame(*out, op, Status::kOk, id, body, meta);
+          append_decompress_response_frame(*out, id, result.values, meta);
         }
         const obs::SpanGuard write_span(options_.tracer, "server.write",
                                         "server", "request_id",

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "test_util.h"
@@ -49,6 +52,56 @@ TEST(Prequant, ThrowsOnOverflow) {
   const std::vector<f32> in = {3.0e9f};
   std::vector<i32> out(1);
   EXPECT_THROW(prequant(in, out, 1e-3), Error);
+}
+
+/// The message of the Error `prequant` throws ("" if it does not throw).
+template <class Prequant>
+std::string prequant_error(Prequant&& quantize, std::vector<f32> in,
+                           f64 two_eps) {
+  std::vector<i32> out(in.size());
+  try {
+    quantize(std::span<const f32>(in), std::span<i32>(out), two_eps);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Prequant, NonFiniteInputIsNotBlamedOnTheErrorBound) {
+  const f32 nan = std::numeric_limits<f32>::quiet_NaN();
+  const f32 inf = std::numeric_limits<f32>::infinity();
+  const auto dispatched = [](auto in, auto out, f64 e) { prequant(in, out, e); };
+  const auto reference = [](auto in, auto out, f64 e) {
+    scalar::prequant(in, out, e);
+  };
+  const auto split = [](std::span<const f32> in, std::span<i32> out, f64 e) {
+    std::vector<f64> scratch(in.size());
+    prequant_multiply(in, scratch, 1.0 / e);
+    prequant_add_floor(scratch, out);
+  };
+  for (f32 bad : {nan, inf, -inf}) {
+    std::vector<f32> in(32, 1.0f);
+    in[17] = bad;
+    for (const std::string& what :
+         {prequant_error(dispatched, in, 2e-3),
+          prequant_error(reference, in, 2e-3),
+          prequant_error(split, in, 2e-3)}) {
+      EXPECT_NE(what.find("non-finite input value"), std::string::npos)
+          << what;
+      EXPECT_EQ(what.find("error bound"), std::string::npos) << what;
+    }
+  }
+  // A finite value too large for ε keeps the error-bound message, even
+  // when it is the only bad value of the block.
+  std::vector<f32> big(32, 1.0f);
+  big[3] = 3.0e9f;
+  for (const std::string& what : {prequant_error(dispatched, big, 2e-3),
+                                  prequant_error(reference, big, 2e-3),
+                                  prequant_error(split, big, 2e-3)}) {
+    EXPECT_NE(what.find("the error bound is too small"), std::string::npos)
+        << what;
+    EXPECT_EQ(what.find("non-finite"), std::string::npos) << what;
+  }
 }
 
 TEST(Prequant, ThrowsOnNonPositiveBound) {

@@ -3,6 +3,7 @@
 // load-shedding (BUSY), deadline, and hostile-input paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <thread>
@@ -164,6 +165,28 @@ TEST(Protocol, DecompressRequestAndResponseRoundTrip) {
             0);
   resp.pop_back();
   EXPECT_THROW(decode_decompress_response(resp, decoded), Error);
+}
+
+TEST(Protocol, InPlaceDecompressResponseFrameMatchesTwoStepFrame) {
+  // The server frames DECOMPRESS results in place; the bytes must equal
+  // the frame built from a separate payload buffer, in v3 and in v4.
+  const auto values = test::smooth_signal(1001);
+  for (const u8 version : {kProtocolVersionV3, kProtocolVersion}) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, values.size()}) {
+      const FrameMeta meta(TenantTag{7, 2}, TraceTag{0xabcdefull, 99},
+                           version);
+      const std::span<const f32> v(values.data(), n);
+      std::vector<u8> body, two_step, in_place = {0xee};
+      append_decompress_response(body, v);
+      append_frame(two_step, Opcode::kDecompress, Status::kOk, 1234, body,
+                   meta);
+      append_decompress_response_frame(in_place, 1234, v, meta);
+      ASSERT_EQ(in_place.size(), two_step.size() + 1);
+      EXPECT_TRUE(std::equal(two_step.begin(), two_step.end(),
+                             in_place.begin() + 1))
+          << "version " << int{version} << ", " << n << " values";
+    }
+  }
 }
 
 TEST(Protocol, HostileBytesNeverCrashTheDecoders) {
