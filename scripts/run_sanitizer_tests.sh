@@ -15,11 +15,6 @@
 #   scripts/run_sanitizer_tests.sh address [build-dir]   # AddressSanitizer
 #
 # Default build dir: build-<mode>.
-#
-# OpenMP is disabled for the TSan build: libgomp's barrier implementation
-# is not TSan-instrumented and produces known false positives; the
-# engine's own threading (std::thread + mutex/condvar) is what we are
-# checking. The ASan build keeps OpenMP on.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,17 +28,11 @@ case "$MODE" in
 esac
 BUILD_DIR="${2:-build-$MODE}"
 
-EXTRA_FLAGS=()
-if [ "$MODE" = "thread" ]; then
-  EXTRA_FLAGS+=(-DCMAKE_DISABLE_FIND_PACKAGE_OpenMP=TRUE)
-fi
-
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCERESZ_SANITIZE="$MODE" \
   -DCERESZ_BUILD_BENCH=OFF \
-  -DCERESZ_BUILD_EXAMPLES=OFF \
-  "${EXTRA_FLAGS[@]}"
+  -DCERESZ_BUILD_EXAMPLES=OFF
 
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
   --target test_engine test_checksum test_flenc test_prequant \

@@ -27,7 +27,7 @@ f64 DeviceThroughputModel::decompress_gbps(const BaselineStats& stats) const {
 //   cuSZp: dense payloads (~10 mean bits) land near 93 GB/s; heavy
 //     zero-block streams (RTM/NYX at REL 1e-2) reach the ~190 GB/s that
 //     makes CereSZ's smallest speedup 2.43x.
-//   SZp:   OpenMP on 64 EPYC cores; an order of magnitude under cuSZp.
+//   SZp:   multi-threaded on 64 EPYC cores; an order of magnitude under cuSZp.
 //   cuSZ:  Huffman codebook construction and encoding dominate; its
 //     decompression is slower than compression (serial-ish decode).
 //   SZ3:   single-threaded CPU, sub-GB/s.

@@ -8,7 +8,7 @@
 //   - cuSZp averages ~93 GB/s compression / ~120 GB/s decompression
 //     (CereSZ's 457.35 / 581.31 GB/s averages divided by its reported
 //     4.9x / 4.8x speedups);
-//   - cuSZ sits well below cuSZp (Huffman stages), SZp (OpenMP EPYC) in
+//   - cuSZ sits well below cuSZp (Huffman stages), SZp (multi-core EPYC) in
 //     the tens of GB/s, and SZ3 "routinely less than 1 GB/s" (Section 5.3).
 //
 // Shape effects mirror the mechanisms the paper describes: zero blocks

@@ -14,6 +14,11 @@ core::CodecConfig szp_codec_config() {
 }
 }  // namespace
 
+u64 SzpCompressor::offset_table_bytes(u64 blocks) const {
+  if (chunk_offset_blocks_ == 0) return 0;
+  return (blocks + chunk_offset_blocks_ - 1) / chunk_offset_blocks_ * 4;
+}
+
 SzpCompressor::SzpCompressor(std::string name, u32 chunk_offset_blocks)
     : name_(std::move(name)),
       chunk_offset_blocks_(chunk_offset_blocks),
@@ -23,14 +28,10 @@ std::vector<u8> SzpCompressor::compress(const data::Field& field,
                                         core::ErrorBound bound,
                                         BaselineStats* stats) const {
   core::CompressionResult r = codec_.compress(field.view(), bound);
-  if (chunk_offset_blocks_ > 0) {
-    // cuSZp bookkeeping: one u32 offset per chunk of blocks, appended so
-    // decompression stays compatible with the plain stream parser.
-    const u64 chunks =
-        (r.stats.total_blocks + chunk_offset_blocks_ - 1) /
-        std::max<u64>(1, chunk_offset_blocks_);
-    r.stream.insert(r.stream.end(), chunks * 4, 0);
-  }
+  // cuSZp bookkeeping: one u32 offset per chunk of blocks, appended after
+  // the plain stream.
+  r.stream.insert(r.stream.end(), offset_table_bytes(r.stats.total_blocks),
+                  0);
   if (stats != nullptr) {
     stats->eps_abs = r.eps_abs;
     stats->element_count = r.element_count;
@@ -43,9 +44,14 @@ std::vector<u8> SzpCompressor::compress(const data::Field& field,
 }
 
 std::vector<f32> SzpCompressor::decompress(std::span<const u8> stream) const {
-  // The optional trailing offset table is ignored by the sequential
-  // parser — record sizes are self-describing.
-  return codec_.decompress(stream);
+  // Record sizes are self-describing, so the sequential parser needs no
+  // offset table; strip it, since the stream decoder rejects trailing bytes.
+  const u32 L = codec_.config().block_size;
+  const u64 blocks = (codec_.parse_header(stream).element_count + L - 1) / L;
+  const u64 table = offset_table_bytes(blocks);
+  CERESZ_CHECK(table <= stream.size() - core::StreamCodec::header_size(),
+               "SZp: stream shorter than its offset table");
+  return codec_.decompress(stream.first(stream.size() - table));
 }
 
 std::unique_ptr<Compressor> make_szp() {

@@ -8,9 +8,9 @@
 //
 // cuSZp's kernel-fusion design additionally keeps a compact per-chunk
 // offset table so fused GPU thread blocks can write their output
-// independently; SZp's simpler OpenMP implementation does not, giving it
-// slightly higher ratios on some datasets (Section 5.3's CESM-ATM/HACC
-// remark).
+// independently; SZp's simpler multi-core CPU implementation does not,
+// giving it slightly higher ratios on some datasets (Section 5.3's
+// CESM-ATM/HACC remark).
 #pragma once
 
 #include "baselines/compressor.h"
@@ -30,6 +30,9 @@ class SzpCompressor : public Compressor {
   std::vector<f32> decompress(std::span<const u8> stream) const override;
 
  private:
+  /// Size of the cuSZp offset table for `blocks` blocks (0 for SZp).
+  u64 offset_table_bytes(u64 blocks) const;
+
   std::string name_;
   u32 chunk_offset_blocks_;
   core::StreamCodec codec_;

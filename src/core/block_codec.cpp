@@ -40,6 +40,25 @@ class Scratch {
 
 }  // namespace
 
+void StreamStats::merge(const StreamStats& other) {
+  total_blocks += other.total_blocks;
+  zero_blocks += other.zero_blocks;
+  constant_blocks += other.constant_blocks;
+  max_fixed_length = std::max(max_fixed_length, other.max_fixed_length);
+  u64 nonzero = 0;
+  u64 fl_sum = 0;
+  for (std::size_t fl = 0; fl < fl_histogram.size(); ++fl) {
+    fl_histogram[fl] += other.fl_histogram[fl];
+    if (fl > 0) {
+      nonzero += fl_histogram[fl];
+      fl_sum += fl * fl_histogram[fl];
+    }
+  }
+  mean_fixed_length = nonzero > 0 ? static_cast<f64>(fl_sum) /
+                                        static_cast<f64>(nonzero)
+                                  : 0.0;
+}
+
 BlockCodec::BlockCodec(CodecConfig config) : config_(config) {
   config_.validate();
 }
@@ -191,6 +210,50 @@ std::size_t BlockCodec::decompress(std::span<const u8> in, f64 eps,
 
 std::size_t BlockCodec::record_size(std::span<const u8> in) const {
   return compressed_size(read_header(in));
+}
+
+BlockInfo BlockCodec::compress_tail(std::span<const f32> input, f64 eps,
+                                    std::vector<u8>& out) const {
+  Scratch<f32> padded_buf(config_.block_size);
+  const std::span<f32> padded = padded_buf.span();
+  std::fill(std::copy(input.begin(), input.end(), padded.begin()),
+            padded.end(), 0.0f);
+  return compress(padded, eps, out);
+}
+
+std::size_t BlockCodec::decompress_tail(std::span<const u8> in, f64 eps,
+                                        std::span<f32> output) const {
+  Scratch<f32> padded_buf(config_.block_size);
+  const std::span<f32> padded = padded_buf.span();
+  const std::size_t used = decompress(in, eps, padded);
+  std::copy_n(padded.begin(), output.size(), output.begin());
+  return used;
+}
+
+void BlockCodec::require_consumed(std::size_t consumed, std::size_t size) {
+  CERESZ_CHECK(consumed == size,
+               "BlockCodec: block payload has trailing bytes after its last "
+               "record");
+}
+
+std::vector<std::span<const u8>> BlockCodec::split_records(
+    std::span<const u8> payload, u64 n_blocks) const {
+  // Every record is at least header_bytes: a corrupt block count cannot
+  // make us reserve more than the payload could hold.
+  CERESZ_CHECK(n_blocks <= payload.size() / config_.header_bytes,
+               "BlockCodec: block payload too short for its block count");
+  std::vector<std::span<const u8>> records;
+  records.reserve(n_blocks);
+  std::size_t pos = 0;
+  for (u64 b = 0; b < n_blocks; ++b) {
+    const std::size_t size = record_size(payload.subspan(pos));
+    CERESZ_CHECK(size <= payload.size() - pos,
+                 "BlockCodec: truncated block record");
+    records.push_back(payload.subspan(pos, size));
+    pos += size;
+  }
+  require_consumed(pos, payload.size());
+  return records;
 }
 
 }  // namespace ceresz::core

@@ -1,37 +1,26 @@
 #include "core/stream_codec.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "common/error.h"
 #include "common/stats.h"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 namespace ceresz::core {
 
 namespace {
 
+// Layout (little-endian): magic[4] | block header_bytes u8 |
+// zero_block_shortcut u8 | block_size u16 | element_count u64 |
+// eps_abs f64 bits.
 constexpr char kMagic[4] = {'C', 'S', 'Z', '1'};
 
-void append_u16(std::vector<u8>& out, u16 v) {
-  out.push_back(static_cast<u8>(v & 0xff));
-  out.push_back(static_cast<u8>(v >> 8));
+void append_le(std::vector<u8>& out, u64 v, int bytes) {
+  for (int b = 0; b < bytes; ++b) out.push_back(static_cast<u8>(v >> (8 * b)));
 }
 
-void append_u64(std::vector<u8>& out, u64 v) {
-  for (int b = 0; b < 8; ++b) out.push_back(static_cast<u8>((v >> (8 * b)) & 0xff));
-}
-
-u16 read_u16(const u8* p) {
-  return static_cast<u16>(p[0] | (static_cast<u16>(p[1]) << 8));
-}
-
-u64 read_u64(const u8* p) {
+u64 read_le(const u8* p, int bytes) {
   u64 v = 0;
-  for (int b = 0; b < 8; ++b) v |= static_cast<u64>(p[b]) << (8 * b);
+  for (int b = 0; b < bytes; ++b) v |= static_cast<u64>(p[b]) << (8 * b);
   return v;
 }
 
@@ -39,117 +28,21 @@ u64 read_u64(const u8* p) {
 
 StreamCodec::StreamCodec(CodecConfig config) : block_codec_(config) {}
 
-CompressionResult StreamCodec::compress(std::span<const f32> data,
-                                        ErrorBound bound) const {
+void StreamCodec::write_header(const StreamHeader& header,
+                               std::vector<u8>& out) const {
   const CodecConfig& cfg = block_codec_.config();
-  const u32 L = cfg.block_size;
-
-  const ArraySummary summary = summarize(data);
-  const f64 eps = bound.resolve(summary.range());
-
-  CompressionResult result;
-  result.eps_abs = eps;
-  result.element_count = data.size();
-
-  // Container header.
-  auto& out = result.stream;
+  const std::size_t start = out.size();
   out.insert(out.end(), kMagic, kMagic + 4);
   out.push_back(static_cast<u8>(cfg.header_bytes));
   out.push_back(cfg.zero_block_shortcut ? u8{1} : u8{0});
-  append_u16(out, static_cast<u16>(L));
-  append_u64(out, data.size());
+  append_le(out, cfg.block_size, 2);
+  append_le(out, header.element_count, 8);
   u64 eps_bits;
-  static_assert(sizeof(eps_bits) == sizeof(eps));
-  std::memcpy(&eps_bits, &eps, sizeof(eps));
-  append_u64(out, eps_bits);
-  CERESZ_CHECK(out.size() == header_size(), "StreamCodec: header size drift");
-
-  const u64 n_blocks = (data.size() + L - 1) / L;
-  result.stats.total_blocks = n_blocks;
-  if (n_blocks == 0) return result;
-
-  // Compress blocks in parallel chunks; each chunk encodes into its own
-  // buffer, spliced in order afterwards so the stream layout is identical
-  // regardless of thread count.
-  int n_threads = 1;
-#ifdef _OPENMP
-  n_threads = omp_get_max_threads();
-#endif
-  const u64 chunk_blocks =
-      std::max<u64>(1, (n_blocks + n_threads - 1) / n_threads);
-  const u64 n_chunks = (n_blocks + chunk_blocks - 1) / chunk_blocks;
-
-  std::vector<std::vector<u8>> chunk_bytes(n_chunks);
-  std::vector<StreamStats> chunk_stats(n_chunks);
-  std::vector<f64> chunk_fl_sum(n_chunks, 0.0);
-
-  // Exceptions may not escape an OpenMP region; capture the first one and
-  // rethrow after the join.
-  std::exception_ptr first_error;
-
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (i64 chunk = 0; chunk < static_cast<i64>(n_chunks); ++chunk) {
-    try {
-      const u64 first = static_cast<u64>(chunk) * chunk_blocks;
-      const u64 last = std::min(first + chunk_blocks, n_blocks);
-      auto& bytes = chunk_bytes[chunk];
-      auto& stats = chunk_stats[chunk];
-      bytes.reserve((last - first) * block_codec_.max_compressed_size());
-      std::vector<f32> padded(L);
-      for (u64 b = first; b < last; ++b) {
-        const u64 begin = b * L;
-        const u64 count = std::min<u64>(L, data.size() - begin);
-        std::span<const f32> block;
-        if (count == L) {
-          block = data.subspan(begin, L);
-        } else {
-          std::fill(padded.begin(), padded.end(), 0.0f);
-          std::copy_n(data.data() + begin, count, padded.begin());
-          block = padded;
-        }
-        const BlockInfo info = block_codec_.compress(block, eps, bytes);
-        ++stats.total_blocks;
-        if (info.zero_block) {
-          ++stats.zero_blocks;
-          ++stats.fl_histogram[0];
-        } else if (info.constant_block) {
-          ++stats.constant_blocks;
-        } else {
-          chunk_fl_sum[chunk] += info.fixed_length;
-          stats.max_fixed_length =
-              std::max(stats.max_fixed_length, info.fixed_length);
-          ++stats.fl_histogram[info.fixed_length];
-        }
-      }
-    } catch (...) {
-#ifdef _OPENMP
-#pragma omp critical
-#endif
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-
-  f64 fl_sum = 0.0;
-  u64 nonzero = 0;
-  for (u64 chunk = 0; chunk < n_chunks; ++chunk) {
-    out.insert(out.end(), chunk_bytes[chunk].begin(), chunk_bytes[chunk].end());
-    const auto& cs = chunk_stats[chunk];
-    result.stats.zero_blocks += cs.zero_blocks;
-    result.stats.constant_blocks += cs.constant_blocks;
-    result.stats.max_fixed_length =
-        std::max(result.stats.max_fixed_length, cs.max_fixed_length);
-    for (std::size_t i = 0; i < cs.fl_histogram.size(); ++i) {
-      result.stats.fl_histogram[i] += cs.fl_histogram[i];
-    }
-    fl_sum += chunk_fl_sum[chunk];
-    nonzero += cs.total_blocks - cs.zero_blocks - cs.constant_blocks;
-  }
-  result.stats.mean_fixed_length =
-      nonzero > 0 ? fl_sum / static_cast<f64>(nonzero) : 0.0;
-  return result;
+  static_assert(sizeof(eps_bits) == sizeof(header.eps_abs));
+  std::memcpy(&eps_bits, &header.eps_abs, sizeof(eps_bits));
+  append_le(out, eps_bits, 8);
+  CERESZ_CHECK(out.size() - start == header_size(),
+               "StreamCodec: header size drift");
 }
 
 StreamCodec::StreamHeader StreamCodec::parse_header(
@@ -158,69 +51,45 @@ StreamCodec::StreamHeader StreamCodec::parse_header(
                "StreamCodec: stream shorter than container header");
   CERESZ_CHECK(std::memcmp(stream.data(), kMagic, 4) == 0,
                "StreamCodec: bad magic — not a CereSZ stream");
-  StreamHeader h;
-  h.header_bytes = stream[4];
-  h.block_size = read_u16(stream.data() + 6);
-  h.element_count = read_u64(stream.data() + 8);
-  const u64 eps_bits = read_u64(stream.data() + 16);
-  std::memcpy(&h.eps_abs, &eps_bits, sizeof(h.eps_abs));
   const CodecConfig& cfg = block_codec_.config();
-  CERESZ_CHECK(h.header_bytes == cfg.header_bytes,
+  CERESZ_CHECK(stream[4] == cfg.header_bytes,
                "StreamCodec: stream was written with a different block "
                "header width than this codec's configuration");
-  CERESZ_CHECK(h.block_size == cfg.block_size,
+  CERESZ_CHECK(read_le(stream.data() + 6, 2) == cfg.block_size,
                "StreamCodec: stream was written with a different block size "
                "than this codec's configuration");
+  StreamHeader h;
+  h.element_count = read_le(stream.data() + 8, 8);
+  const u64 eps_bits = read_le(stream.data() + 16, 8);
+  std::memcpy(&h.eps_abs, &eps_bits, sizeof(h.eps_abs));
   CERESZ_CHECK(h.eps_abs > 0.0 || h.element_count == 0,
                "StreamCodec: corrupt header (non-positive error bound)");
+  // Every block record is at least header_bytes, so a corrupt count
+  // cannot make a decoder allocate more than the stream could hold.
+  const u64 n_blocks = h.element_count / cfg.block_size +
+                       (h.element_count % cfg.block_size != 0 ? 1 : 0);
+  CERESZ_CHECK(n_blocks <= (stream.size() - header_size()) / cfg.header_bytes,
+               "StreamCodec: corrupt header (element count exceeds what the "
+               "stream could hold)");
   return h;
+}
+
+CompressionResult StreamCodec::compress(std::span<const f32> data,
+                                        ErrorBound bound) const {
+  CompressionResult result;
+  result.eps_abs = bound.resolve(summarize(data).range());
+  result.element_count = data.size();
+  write_header({data.size(), result.eps_abs}, result.stream);
+  block_codec_.compress_blocks(data, result.eps_abs, result.stream,
+                               result.stats);
+  return result;
 }
 
 std::vector<f32> StreamCodec::decompress(std::span<const u8> stream) const {
   const StreamHeader h = parse_header(stream);
-  const u32 L = block_codec_.config().block_size;
-  const u64 n_blocks = (h.element_count + L - 1) / L;
-
-  // Sanity-check the claimed element count against the stream size before
-  // allocating anything: every block record is at least header_bytes, so a
-  // corrupt count cannot make us reserve unbounded memory.
-  const u64 max_possible_blocks =
-      (stream.size() - header_size()) / block_codec_.config().header_bytes;
-  CERESZ_CHECK(n_blocks <= max_possible_blocks,
-               "StreamCodec: corrupt header (element count exceeds what the "
-               "stream could hold)");
-
-  // Index pass: block records have variable size, so walk the headers once
-  // to find every record offset, then decode in parallel.
-  std::vector<u64> offsets(n_blocks + 1);
-  u64 pos = header_size();
-  for (u64 b = 0; b < n_blocks; ++b) {
-    offsets[b] = pos;
-    pos += block_codec_.record_size(stream.subspan(pos));
-    CERESZ_CHECK(pos <= stream.size(), "StreamCodec: truncated stream");
-  }
-  offsets[n_blocks] = pos;
-
-  std::vector<f32> output(n_blocks * L);
-  std::exception_ptr first_error;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (i64 b = 0; b < static_cast<i64>(n_blocks); ++b) {
-    try {
-      std::span<f32> dst(output.data() + static_cast<u64>(b) * L, L);
-      block_codec_.decompress(
-          stream.subspan(offsets[b], offsets[b + 1] - offsets[b]), h.eps_abs,
-          dst);
-    } catch (...) {
-#ifdef _OPENMP
-#pragma omp critical
-#endif
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-  output.resize(h.element_count);
+  std::vector<f32> output(h.element_count);
+  block_codec_.decompress_blocks(stream.subspan(header_size()), h.eps_abs,
+                                 output);
   return output;
 }
 

@@ -1,12 +1,14 @@
-// Whole-array compression: block partitioning, REL bound resolution, the
-// self-describing stream container, and (de)compression statistics.
+// Whole-array compression: REL bound resolution and the self-describing
+// "CSZ1" stream container around one range of block records.
 //
-// This is the host-side reference implementation of CereSZ — the WSE
-// mapping in src/mapping produces bit-identical streams, which the
-// integration tests assert.
+// This is the host-side reference implementation of CereSZ: a
+// single-thread driver over BlockCodec's block-range loops. StreamCodec
+// owns the container header — write_header() and parse_header() are the
+// only code that writes or reads it — and the WSE mapping in src/mapping
+// calls them too, producing bit-identical streams (asserted by the
+// integration tests). For parallelism use engine::ParallelEngine.
 #pragma once
 
-#include <array>
 #include <span>
 #include <vector>
 
@@ -15,22 +17,6 @@
 #include "core/config.h"
 
 namespace ceresz::core {
-
-/// Aggregate statistics of one compression run.
-struct StreamStats {
-  u64 total_blocks = 0;
-  u64 zero_blocks = 0;
-  u64 constant_blocks = 0;  ///< constant-block shortcut hits (extension)
-  u32 max_fixed_length = 0;
-  f64 mean_fixed_length = 0.0;  ///< over non-zero blocks
-  std::array<u64, 33> fl_histogram{};  ///< count of blocks per fixed length
-
-  f64 zero_fraction() const {
-    return total_blocks == 0
-               ? 0.0
-               : static_cast<f64>(zero_blocks) / static_cast<f64>(total_blocks);
-  }
-};
 
 /// Result of StreamCodec::compress.
 struct CompressionResult {
@@ -65,15 +51,23 @@ class StreamCodec {
   /// Container header size in bytes.
   static constexpr std::size_t header_size() { return 24; }
 
- private:
+  /// The fields of a container header that vary per stream.
   struct StreamHeader {
-    u32 header_bytes = 0;
-    u32 block_size = 0;
     u64 element_count = 0;
     f64 eps_abs = 0.0;
   };
+
+  /// Append a container header for this codec's configuration.
+  void write_header(const StreamHeader& header, std::vector<u8>& out) const;
+
+  /// Parse and validate the container header at the start of `stream`:
+  /// magic, block header width and block size (both must match this
+  /// codec's configuration), a positive bound, and an element count the
+  /// rest of the stream could hold. Throws on any mismatch. The block
+  /// records follow at header_size().
   StreamHeader parse_header(std::span<const u8> stream) const;
 
+ private:
   BlockCodec block_codec_;
 };
 

@@ -24,6 +24,16 @@ u64 read_u64(const u8* p) {
   return v;
 }
 
+/// The block-record format of one tile, after validating the tiling.
+CodecConfig record_config(const TiledCodecConfig& tiled) {
+  tiled.validate();
+  CodecConfig cfg;
+  cfg.block_size = tiled.block_size();
+  cfg.header_bytes = tiled.header_bytes;
+  cfg.zero_block_shortcut = tiled.zero_block_shortcut;
+  return cfg;
+}
+
 }  // namespace
 
 void TiledCodecConfig::validate() const {
@@ -34,9 +44,8 @@ void TiledCodecConfig::validate() const {
                "TiledCodecConfig: header_bytes must be 1, 2, or 4");
 }
 
-Tiled2dCodec::Tiled2dCodec(TiledCodecConfig config) : config_(config) {
-  config_.validate();
-}
+Tiled2dCodec::Tiled2dCodec(TiledCodecConfig config)
+    : config_(config), records_(record_config(config)) {}
 
 CompressionResult Tiled2dCodec::compress(std::span<const f32> field,
                                          std::size_t width,
@@ -74,12 +83,8 @@ CompressionResult Tiled2dCodec::compress(std::span<const f32> field,
   std::vector<u32> absv(L);
   std::vector<u8> signs(L / 8);
 
-  auto write_header = [&](u32 fl) {
-    for (u32 b = 0; b < config_.header_bytes; ++b) {
-      out.push_back(static_cast<u8>((fl >> (8 * b)) & 0xff));
-    }
-  };
-
+  const std::size_t plane_bytes = L / 8;
+  StreamStats tally;
   for (std::size_t ty = 0; ty < tiles_y; ++ty) {
     for (std::size_t tx = 0; tx < tiles_x; ++tx) {
       gather_tile(field, width, height, tx * config_.tile_w,
@@ -87,28 +92,22 @@ CompressionResult Tiled2dCodec::compress(std::span<const f32> field,
       prequant(tile, quant, 2.0 * eps);
       lorenzo2d_forward(quant, resid, config_.tile_w, config_.tile_h);
       const u32 maxval = split_sign_max(resid, absv, signs);
-      ++result.stats.total_blocks;
+      BlockInfo info;
       if (config_.zero_block_shortcut && maxval == 0) {
-        write_header(0);
-        ++result.stats.zero_blocks;
-        ++result.stats.fl_histogram[0];
-        continue;
+        records_.append_record(0, out);
+        info.zero_block = true;
+      } else {
+        const u32 fl = std::max(effective_bits(maxval), 1u);
+        u8* body = records_.append_record(fl, out);
+        std::copy(signs.begin(), signs.end(), body);
+        bit_shuffle(absv, fl,
+                    std::span<u8>(body + plane_bytes, fl * plane_bytes));
+        info.fixed_length = fl;
       }
-      const u32 fl = std::max(effective_bits(maxval), 1u);
-      write_header(fl);
-      out.insert(out.end(), signs.begin(), signs.end());
-      const std::size_t at = out.size();
-      out.resize(out.size() + static_cast<std::size_t>(fl) * (L / 8));
-      bit_shuffle(absv, fl,
-                  std::span<u8>(out.data() + at, fl * (L / 8)));
-      result.stats.max_fixed_length =
-          std::max(result.stats.max_fixed_length, fl);
-      ++result.stats.fl_histogram[fl];
-      result.stats.mean_fixed_length += fl;  // normalized below
+      tally.add(info);
     }
   }
-  const u64 nonzero = result.stats.total_blocks - result.stats.zero_blocks;
-  if (nonzero > 0) result.stats.mean_fixed_length /= static_cast<f64>(nonzero);
+  result.stats.merge(tally);
   return result;
 }
 
@@ -152,32 +151,26 @@ std::vector<f32> Tiled2dCodec::decompress(std::span<const u8> stream,
   std::vector<f32> tile(L);
   std::vector<i32> quant(L), resid(L);
   std::vector<u32> absv(L);
+  const std::size_t plane_bytes = L / 8;
   std::size_t pos = header_size();
 
   for (std::size_t ty = 0; ty < tiles_y; ++ty) {
     for (std::size_t tx = 0; tx < tiles_x; ++tx) {
-      CERESZ_CHECK(pos + config_.header_bytes <= stream.size(),
-                   "Tiled2dCodec: truncated tile header");
-      u32 fl = 0;
-      for (u32 b = 0; b < config_.header_bytes; ++b) {
-        fl |= static_cast<u32>(stream[pos + b]) << (8 * b);
-      }
-      pos += config_.header_bytes;
-      CERESZ_CHECK(fl <= 32, "Tiled2dCodec: corrupt tile header");
+      const u32 fl = records_.read_header(stream.subspan(pos));
+      const std::size_t record = records_.compressed_size(fl);
+      CERESZ_CHECK(record <= stream.size() - pos,
+                   "Tiled2dCodec: truncated tile payload");
       if (fl == 0) {
         std::fill(tile.begin(), tile.end(), 0.0f);
       } else {
-        const std::size_t plane_bytes = L / 8;
-        CERESZ_CHECK(pos + plane_bytes * (1 + fl) <= stream.size(),
-                     "Tiled2dCodec: truncated tile payload");
-        std::span<const u8> signs = stream.subspan(pos, plane_bytes);
-        pos += plane_bytes;
-        bit_unshuffle(stream.subspan(pos, fl * plane_bytes), fl, absv);
-        pos += fl * plane_bytes;
-        apply_sign(absv, signs, resid);
+        const std::size_t signs_at = pos + config_.header_bytes;
+        bit_unshuffle(stream.subspan(signs_at + plane_bytes, fl * plane_bytes),
+                      fl, absv);
+        apply_sign(absv, stream.subspan(signs_at, plane_bytes), resid);
         lorenzo2d_inverse(resid, quant, config_.tile_w, config_.tile_h);
         dequant(quant, tile, 2.0 * eps);
       }
+      pos += record;
       scatter_tile(tile, width, height, tx * config_.tile_w,
                    ty * config_.tile_h, config_.tile_w, config_.tile_h,
                    field);

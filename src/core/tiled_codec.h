@@ -43,6 +43,7 @@ class Tiled2dCodec {
 
  private:
   TiledCodecConfig config_;
+  BlockCodec records_;  ///< one tile's record format
 };
 
 }  // namespace ceresz::core

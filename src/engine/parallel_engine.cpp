@@ -23,7 +23,6 @@ namespace {
 struct ChunkOutput {
   std::vector<u8> bytes;
   core::StreamStats stats;
-  f64 fl_sum = 0.0;  ///< sum of fixed lengths over non-zero blocks
   u32 crc = 0;
 };
 
@@ -220,37 +219,11 @@ EngineResult ParallelEngine::compress(std::span<const f32> data,
           const u64 begin = c * C;
           const u64 end = std::min(n, begin + C);
           ChunkOutput o;
-          const u64 blocks = (end - begin + L - 1) / L;
-          o.bytes.reserve(blocks * block_codec_.max_compressed_size());
-          std::vector<f32> padded(L);
-          for (u64 bstart = begin; bstart < end; bstart += L) {
-            if (cancel.cancelled()) {
-              throw ChunkTimeout("chunk " + std::to_string(c) +
-                                 " exceeded its compression deadline");
-            }
-            const u64 count = std::min<u64>(L, end - bstart);
-            std::span<const f32> block;
-            if (count == L) {
-              block = data.subspan(bstart, L);
-            } else {
-              std::fill(padded.begin(), padded.end(), 0.0f);
-              std::copy_n(data.data() + bstart, count, padded.begin());
-              block = padded;
-            }
-            const core::BlockInfo info =
-                block_codec_.compress(block, eps, o.bytes);
-            ++o.stats.total_blocks;
-            if (info.zero_block) {
-              ++o.stats.zero_blocks;
-              ++o.stats.fl_histogram[0];
-            } else if (info.constant_block) {
-              ++o.stats.constant_blocks;
-            } else {
-              o.fl_sum += info.fixed_length;
-              o.stats.max_fixed_length =
-                  std::max(o.stats.max_fixed_length, info.fixed_length);
-              ++o.stats.fl_histogram[info.fixed_length];
-            }
+          if (!block_codec_.compress_blocks(
+                  data.subspan(begin, end - begin), eps, o.bytes, o.stats,
+                  [&cancel] { return cancel.cancelled(); })) {
+            throw ChunkTimeout("chunk " + std::to_string(c) +
+                               " exceeded its compression deadline");
           }
           o.crc = crc32c(o.bytes);
           outs[c] = std::move(o);
@@ -305,26 +278,11 @@ EngineResult ParallelEngine::compress(std::span<const f32> data,
     obs::SpanGuard assemble_span(tracer, "engine.assemble", "engine");
     io::write_container_prefix(result.stream, header, entries);
     core::StreamStats stream_stats;
-    f64 fl_sum = 0.0;
-    u64 nonzero = 0;
-    for (u64 c = 0; c < n_chunks; ++c) {
-      const ChunkOutput& o = outs[c];
+    for (const ChunkOutput& o : outs) {
       result.stream.insert(result.stream.end(), o.bytes.begin(),
                            o.bytes.end());
-      stream_stats.total_blocks += o.stats.total_blocks;
-      stream_stats.zero_blocks += o.stats.zero_blocks;
-      stream_stats.constant_blocks += o.stats.constant_blocks;
-      stream_stats.max_fixed_length =
-          std::max(stream_stats.max_fixed_length, o.stats.max_fixed_length);
-      for (std::size_t i = 0; i < o.stats.fl_histogram.size(); ++i) {
-        stream_stats.fl_histogram[i] += o.stats.fl_histogram[i];
-      }
-      fl_sum += o.fl_sum;
-      nonzero +=
-          o.stats.total_blocks - o.stats.zero_blocks - o.stats.constant_blocks;
+      stream_stats.merge(o.stats);
     }
-    stream_stats.mean_fixed_length =
-        nonzero > 0 ? fl_sum / static_cast<f64>(nonzero) : 0.0;
     result.stats.stream = stream_stats;
   }
 
@@ -357,7 +315,6 @@ DecompressResult ParallelEngine::decompress(std::span<const u8> stream) const {
   CERESZ_CHECK(h.block_size == cfg.block_size,
                "ParallelEngine: stream was written with a different block "
                "size than this engine's configuration");
-  const u32 L = cfg.block_size;
   const u64 n = h.element_count;
 
   obs::SpanGuard run_span(tracer, "engine.decompress", "engine", "chunks",
@@ -399,27 +356,13 @@ DecompressResult ParallelEngine::decompress(std::span<const u8> stream) const {
               " failed its CRC32C check (corrupt payload)");
         }
         try {
-          u64 pos = 0;
-          std::vector<f32> padded(L);
-          for (u64 done = 0; done < e.element_count; done += L) {
-            if (cancel.cancelled()) {
-              throw ChunkTimeout("chunk " + std::to_string(c) +
-                                 " exceeded its decompression deadline");
-            }
-            const u64 count = std::min<u64>(L, e.element_count - done);
-            CERESZ_CHECK(pos <= payload.size(),
-                         "chunk payload ends before its last block");
-            std::span<f32> dst = count == L
-                                     ? std::span<f32>(out + begin + done, L)
-                                     : std::span<f32>(padded);
-            pos += block_codec_.decompress(payload.subspan(pos), h.eps_abs,
-                                           dst);
-            if (count < L) {
-              std::copy_n(padded.begin(), count, out + begin + done);
-            }
+          if (!block_codec_.decompress_blocks(
+                  payload, h.eps_abs,
+                  std::span<f32>(out + begin, e.element_count),
+                  [&cancel] { return cancel.cancelled(); })) {
+            throw ChunkTimeout("chunk " + std::to_string(c) +
+                               " exceeded its decompression deadline");
           }
-          CERESZ_CHECK(pos == e.compressed_bytes,
-                       "chunk payload has trailing bytes");
         } catch (const ChunkTimeout&) {
           // A timeout is transient, not data corruption.
           if (tracer) {

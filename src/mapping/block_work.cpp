@@ -11,15 +11,17 @@ namespace ceresz::mapping {
 
 SubStageExecutor::SubStageExecutor(core::CodecConfig codec,
                                    core::PeCostModel cost, f64 eps)
-    : codec_(codec), cost_(cost), eps_(eps) {
-  codec_.validate();
+    : records_(codec), cost_(cost), eps_(eps) {
+  CERESZ_CHECK(!codec.constant_block_shortcut,
+               "SubStageExecutor: the pipelines implement the paper's record "
+               "format, without the constant-block extension");
   CERESZ_CHECK(eps_ > 0.0, "SubStageExecutor: eps must be positive");
 }
 
 Cycles SubStageExecutor::apply(BlockWork& work,
                                const core::SubStage& stage) const {
   using core::SubStageKind;
-  const u32 L = codec_.block_size;
+  const u32 L = codec().block_size;
   const Cycles full = cost_.substage_cycles(stage, L);
 
   switch (stage.kind) {
@@ -50,7 +52,7 @@ Cycles SubStageExecutor::apply(BlockWork& work,
 
     case SubStageKind::kGetLength: {
       work.fl = core::effective_bits(work.maxval);
-      work.zero = codec_.zero_block_shortcut && work.maxval == 0;
+      work.zero = codec().zero_block_shortcut && work.maxval == 0;
       if (!work.zero) work.fl = std::max(work.fl, 1u);
       work.length_known = true;
       if (work.zero) {
@@ -80,15 +82,8 @@ Cycles SubStageExecutor::apply(BlockWork& work,
     case SubStageKind::kUnshuffleBit: {
       // First unshuffle sub-stage parses the record header.
       if (!work.length_known) {
-        CERESZ_CHECK(work.record.size() >= codec_.header_bytes,
-                     "apply: truncated record");
-        u32 fl = 0;
-        for (u32 b = 0; b < codec_.header_bytes; ++b) {
-          fl |= static_cast<u32>(work.record[b]) << (8 * b);
-        }
-        CERESZ_CHECK(fl <= 32, "apply: corrupt record header");
-        work.fl = fl;
-        work.zero = fl == 0;
+        work.fl = records_.read_header(work.record);
+        work.zero = work.fl == 0;
         work.length_known = true;
         work.absv.assign(L, 0);
       }
@@ -97,7 +92,7 @@ Cycles SubStageExecutor::apply(BlockWork& work,
       const std::size_t plane_bytes = L / 8;
       for (u32 k = stage.bit_index; k < last_bit; ++k) {
         const std::size_t plane_at =
-            codec_.header_bytes + plane_bytes +
+            codec().header_bytes + plane_bytes +
             static_cast<std::size_t>(k) * plane_bytes;
         CERESZ_CHECK(work.record.size() >= plane_at + plane_bytes,
                      "apply: truncated record payload");
@@ -116,7 +111,7 @@ Cycles SubStageExecutor::apply(BlockWork& work,
         return kSkipCycles;
       }
       const std::size_t plane_bytes = L / 8;
-      std::span<const u8> signs(work.record.data() + codec_.header_bytes,
+      std::span<const u8> signs(work.record.data() + codec().header_bytes,
                                 plane_bytes);
       core::apply_sign(work.absv, signs, work.quant);
       core::lorenzo_inverse(work.quant, work.quant);
@@ -135,13 +130,13 @@ std::size_t SubStageExecutor::assemble_record(const BlockWork& work,
                                               std::vector<u8>& out) const {
   CERESZ_CHECK(work.length_known, "assemble_record: pipeline incomplete");
   const std::size_t before = out.size();
-  const u32 fl = work.zero ? 0 : work.fl;
-  for (u32 b = 0; b < codec_.header_bytes; ++b) {
-    out.push_back(static_cast<u8>((fl >> (8 * b)) & 0xff));
-  }
+  u8* body = records_.append_record(work.zero ? 0 : work.fl, out);
   if (!work.zero) {
-    out.insert(out.end(), work.signs.begin(), work.signs.end());
-    out.insert(out.end(), work.planes.begin(), work.planes.end());
+    CERESZ_CHECK(work.signs.size() + work.planes.size() ==
+                     out.size() - before - codec().header_bytes,
+                 "assemble_record: planes do not match the fixed length");
+    body = std::copy(work.signs.begin(), work.signs.end(), body);
+    std::copy(work.planes.begin(), work.planes.end(), body);
   }
   return out.size() - before;
 }

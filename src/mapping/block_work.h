@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "core/block_codec.h"
 #include "core/config.h"
 #include "core/costmodel.h"
 #include "core/stage.h"
@@ -49,7 +50,7 @@ class SubStageExecutor {
   Cycles apply(BlockWork& work, const core::SubStage& stage) const;
 
   /// Assemble the final compressed record (header + signs + planes) into
-  /// `out`; layout identical to core::BlockCodec. Returns record size.
+  /// `out` through core::BlockCodec's record writer. Returns record size.
   std::size_t assemble_record(const BlockWork& work,
                               std::vector<u8>& out) const;
 
@@ -57,10 +58,10 @@ class SubStageExecutor {
   static constexpr Cycles kSkipCycles = 20;
 
   f64 eps() const { return eps_; }
-  const core::CodecConfig& codec() const { return codec_; }
+  const core::CodecConfig& codec() const { return records_.config(); }
 
  private:
-  core::CodecConfig codec_;
+  core::BlockCodec records_;  ///< the record format (header read/write)
   core::PeCostModel cost_;
   f64 eps_;
 };

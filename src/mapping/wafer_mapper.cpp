@@ -101,15 +101,6 @@ RowAssignment assign_blocks(u64 n_blocks, const DegradedLayout& layout,
   return a;
 }
 
-void append_u16(std::vector<u8>& out, u16 v) {
-  out.push_back(static_cast<u8>(v & 0xff));
-  out.push_back(static_cast<u8>(v >> 8));
-}
-
-void append_u64(std::vector<u8>& out, u64 v) {
-  for (int b = 0; b < 8; ++b) out.push_back(static_cast<u8>((v >> (8 * b)) & 0xff));
-}
-
 /// Sub-stage family label used in enriched trace thread names and in
 /// the analysis layer's bottleneck attribution. Single token (no
 /// spaces, ':' or '+' — those are the stages= list's separators), with
@@ -403,16 +394,9 @@ WaferRunResult WaferMapper::compress(std::span<const f32> data,
       records[rec.tag] = rec.bytes;
     }
     auto& out = result.stream;
-    out.reserve(24 + n_blocks * 8);
-    const char magic[4] = {'C', 'S', 'Z', '1'};
-    out.insert(out.end(), magic, magic + 4);
-    out.push_back(static_cast<u8>(options_.codec.header_bytes));
-    out.push_back(options_.codec.zero_block_shortcut ? u8{1} : u8{0});
-    append_u16(out, static_cast<u16>(L));
-    append_u64(out, data.size());
-    u64 eps_bits;
-    std::memcpy(&eps_bits, &result.eps_abs, sizeof(eps_bits));
-    append_u64(out, eps_bits);
+    out.reserve(core::StreamCodec::header_size() + n_blocks * 8);
+    core::StreamCodec(options_.codec)
+        .write_header({data.size(), result.eps_abs}, out);
     for (u64 b = 0; b < n_blocks; ++b) {
       CERESZ_CHECK(!records[b].empty(),
                    "WaferMapper: block never emerged from the wafer");
@@ -425,58 +409,32 @@ WaferRunResult WaferMapper::compress(std::span<const f32> data,
 
 WaferRunResult WaferMapper::decompress(std::span<const u8> stream) const {
   const u32 L = options_.codec.block_size;
-  core::StreamCodec codec(options_.codec);
-  // Parse the container header via the codec (validates magic/config).
-  // We only need element count and eps; a cheap way that reuses the
-  // validation is to index the records ourselves after checking the size.
-  CERESZ_CHECK(stream.size() >= core::StreamCodec::header_size(),
-               "WaferMapper::decompress: truncated stream");
-  CERESZ_CHECK(std::memcmp(stream.data(), "CSZ1", 4) == 0,
-               "WaferMapper::decompress: bad magic");
-  u64 element_count = 0;
-  for (int b = 0; b < 8; ++b) {
-    element_count |= static_cast<u64>(stream[8 + b]) << (8 * b);
-  }
-  u64 eps_bits = 0;
-  for (int b = 0; b < 8; ++b) {
-    eps_bits |= static_cast<u64>(stream[16 + b]) << (8 * b);
-  }
-  f64 eps_abs;
-  std::memcpy(&eps_abs, &eps_bits, sizeof(eps_abs));
-  CERESZ_CHECK(eps_abs > 0.0, "WaferMapper::decompress: corrupt bound");
+  const core::StreamCodec codec(options_.codec);
+  const auto [element_count, eps_abs] = codec.parse_header(stream);
 
   WaferRunResult result;
   obs::SpanGuard run_span(options_.tracer, "mapper.decompress", "mapper",
                           "bytes", static_cast<i64>(stream.size()));
   result.eps_abs = eps_abs;
   const u64 n_blocks = (element_count + L - 1) / L;
-  // Corrupt-header guard: every record is at least header_bytes wide.
-  CERESZ_CHECK(n_blocks <= (stream.size() - core::StreamCodec::header_size()) /
-                               options_.codec.header_bytes,
-               "WaferMapper::decompress: corrupt header (element count "
-               "exceeds what the stream could hold)");
   result.total_blocks = n_blocks;
 
   // Index the block records and find the stream's maximum fixed length
   // (known up front on a real deployment — it is what the decompression
   // pipeline is scheduled for).
   const core::BlockCodec& bc = codec.block_codec();
-  std::vector<u64> offsets(n_blocks + 1);
+  const std::span<const u8> payload =
+      stream.subspan(core::StreamCodec::header_size());
+  std::vector<std::span<const u8>> records;
   u32 max_fl = 1;
   {
     obs::SpanGuard span(options_.tracer, "mapper.profile", "mapper");
-    u64 pos = core::StreamCodec::header_size();
-    for (u64 b = 0; b < n_blocks; ++b) {
-      offsets[b] = pos;
-      const std::size_t rec = bc.record_size(stream.subspan(pos));
-      // Header low byte is the fixed length (<= 32).
-      max_fl = std::max(max_fl, static_cast<u32>(stream[pos]));
-      pos += rec;
-      CERESZ_CHECK(pos <= stream.size(),
-                   "WaferMapper::decompress: truncated stream");
+    records = bc.split_records(payload, n_blocks);
+    for (const auto& record : records) {
+      max_fl = std::max(max_fl, bc.read_header(record));
     }
-    offsets[n_blocks] = pos;
   }
+  CERESZ_CHECK(n_blocks > 0, "WaferMapper::decompress: empty stream");
 
   result.profile.eps_abs = eps_abs;
   result.profile.est_fixed_length = max_fl;
@@ -516,8 +474,7 @@ WaferRunResult WaferMapper::decompress(std::span<const u8> stream) const {
     RowBlock rb;
     rb.tag = b;
     rb.work = std::make_shared<BlockWork>();
-    rb.work->record.assign(stream.begin() + offsets[b],
-                           stream.begin() + offsets[b + 1]);
+    rb.work->record.assign(records[b].begin(), records[b].end());
     rb.extent = std::max<u32>(
         1, static_cast<u32>((rb.work->record.size() + 3) / 4));
     return rb;
@@ -561,9 +518,8 @@ WaferRunResult WaferMapper::decompress(std::span<const u8> stream) const {
   enrich_thread_names(options_, layout, result.plan, L);
   {
     // Record extents vary per block; predict with the mean wavelet count.
-    const u64 payload = offsets[n_blocks] - offsets[0];
     const u32 avg_extent = std::max<u32>(
-        1, static_cast<u32>((payload / n_blocks + 3) / 4));
+        1, static_cast<u32>((payload.size() / n_blocks + 3) / 4));
     export_predictions(options_.metrics, options_, layout, result.plan,
                        n_blocks, avg_extent, L * sizeof(f32));
   }

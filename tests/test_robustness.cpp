@@ -3,12 +3,18 @@
 // data or throw ceresz::Error — never crash, hang, or read out of bounds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <optional>
+#include <string>
+
 #include "baselines/compressor.h"
 #include "common/rng.h"
 #include "core/stream_codec.h"
 #include "core/tiled_codec.h"
 #include "engine/parallel_engine.h"
 #include "io/chunk_container.h"
+#include "mapping/wafer_mapper.h"
 #include "net/protocol.h"
 #include "test_util.h"
 
@@ -94,6 +100,68 @@ TEST_P(StreamFuzz, BitFlipsNeverCrashBaselines) {
         static_cast<u8>(1u << rng.next_below(8));
     expect_no_crash([&] { sz3->decompress(corrupted); });
   }
+}
+
+// Differential check: the host decoder and the simulated wafer parse the
+// same CSZ1 container and block records, so on any corrupted stream they
+// must agree — both throw, or both return bit-identical values.
+TEST_P(StreamFuzz, StreamCodecAndWaferMapperAgree) {
+  const core::StreamCodec codec;
+  mapping::MapperOptions opt;
+  opt.rows = 2;
+  opt.cols = 4;
+  opt.pipeline_length = 1;
+  const mapping::WaferMapper mapper(opt);
+  const auto data = test::smooth_signal(4096, GetParam());
+  const auto stream =
+      codec.compress(data, core::ErrorBound::absolute(1e-3)).stream;
+
+  int rejected = 0;
+  auto expect_agreement = [&](std::span<const u8> s, const std::string& what) {
+    std::optional<std::vector<f32>> host, wafer;
+    try {
+      host = codec.decompress(s);
+    } catch (const Error&) {
+    }
+    try {
+      wafer = mapper.decompress(s).output;
+    } catch (const Error&) {
+    }
+    ASSERT_EQ(host.has_value(), wafer.has_value()) << what;
+    if (!host) {
+      ++rejected;
+      return;
+    }
+    EXPECT_TRUE(std::equal(host->begin(), host->end(), wafer->begin(),
+                           wafer->end(), [](f32 a, f32 b) {
+                             return std::bit_cast<u32>(a) ==
+                                    std::bit_cast<u32>(b);
+                           }))
+        << what;
+  };
+
+  // Every bit of the container header, then random bits of the records.
+  Rng rng(GetParam() * 7919 + 13);
+  for (std::size_t bit = 0; bit < 8 * core::StreamCodec::header_size();
+       ++bit) {
+    auto corrupted = stream;
+    corrupted[bit / 8] ^= static_cast<u8>(1u << (bit % 8));
+    expect_agreement(corrupted, "header bit " + std::to_string(bit));
+  }
+  for (int trial = 0; trial < 100; ++trial) {
+    auto corrupted = stream;
+    const std::size_t at = core::StreamCodec::header_size() +
+                           rng.next_below(stream.size() -
+                                          core::StreamCodec::header_size());
+    corrupted[at] ^= static_cast<u8>(1u << rng.next_below(8));
+    expect_agreement(corrupted, "payload byte " + std::to_string(at));
+  }
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t cut = rng.next_below(stream.size());
+    expect_agreement(std::span<const u8>(stream.data(), cut),
+                     "cut at " + std::to_string(cut));
+  }
+  EXPECT_GT(rejected, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamFuzz, ::testing::Values(1, 2, 3, 4));

@@ -113,6 +113,14 @@ TEST(StreamCodec, RejectsTruncatedStream) {
   EXPECT_THROW(codec.decompress(cut), Error);
 }
 
+TEST(StreamCodec, RejectsTrailingBytes) {
+  const StreamCodec codec;
+  const auto data = test::smooth_signal(4096);
+  auto stream = codec.compress(data, ErrorBound::absolute(1e-3)).stream;
+  stream.insert(stream.end(), 100, u8{0xA5});
+  EXPECT_THROW(codec.decompress(stream), Error);
+}
+
 TEST(StreamCodec, EmptyInput) {
   const StreamCodec codec;
   const std::vector<f32> empty;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "core/stream_codec.h"
 #include "test_util.h"
 
@@ -165,6 +168,50 @@ TEST(WaferMapper, PlanRespectsPipelineLength) {
   const auto run = mapper.compress(data, core::ErrorBound::absolute(1e-3));
   EXPECT_EQ(run.plan.length(), 3u);
   EXPECT_EQ(run.pipelines_per_row, 2u);
+}
+
+// Zeros in the first half, 5 + sin in the second, at ABS 1e-3.
+std::vector<u8> host_stream(const core::CodecConfig& cfg) {
+  std::vector<f32> data(4096, 0.0f);
+  for (std::size_t i = data.size() / 2; i < data.size(); ++i) {
+    data[i] = static_cast<f32>(5.0 + std::sin(static_cast<f64>(i)));
+  }
+  return core::StreamCodec(cfg)
+      .compress(data, core::ErrorBound::absolute(1e-3))
+      .stream;
+}
+
+std::string decompress_error(std::span<const u8> stream) {
+  try {
+    WaferMapper(options(2, 4)).decompress(stream);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A stream written with another codec configuration must be rejected with
+// the host codec's error, not decoded as garbage.
+TEST(WaferMapper, RejectsStreamWithOtherBlockSize) {
+  core::CodecConfig cfg;
+  cfg.block_size = 16;
+  EXPECT_NE(decompress_error(host_stream(cfg)).find("different block size"),
+            std::string::npos);
+}
+
+TEST(WaferMapper, RejectsStreamWithOtherHeaderWidth) {
+  core::CodecConfig cfg;
+  cfg.header_bytes = 1;
+  EXPECT_NE(decompress_error(host_stream(cfg))
+                .find("different block header width"),
+            std::string::npos);
+}
+
+TEST(WaferMapper, RejectsTrailingBytes) {
+  auto stream = host_stream({});
+  stream.insert(stream.end(), 100, u8{0xA5});
+  EXPECT_NE(decompress_error(stream).find("trailing bytes"),
+            std::string::npos);
 }
 
 TEST(WaferMapper, InvalidConfigThrows) {

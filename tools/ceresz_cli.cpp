@@ -37,8 +37,8 @@ int usage() {
                "  ceresz extract    <in.csza> <field-name> <out.f32>\n"
                "\n"
                "  --threads N      worker threads (N > 1 uses the parallel\n"
-               "                   engine's chunked container; 1 = legacy\n"
-               "                   single-stream format)\n"
+               "                   engine's chunked container; 1 = one\n"
+               "                   thread, legacy single-stream format)\n"
                "  --chunk-elems N  elements per chunk (multiple of 32)\n"
                "  --lenient        zero-fill corrupt chunks on decompress\n"
                "                   instead of aborting; exits 3 (instead of\n"
