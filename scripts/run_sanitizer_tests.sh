@@ -8,8 +8,11 @@
 # (reader/worker threads, BufferPool, shutdown paths), the network
 # chaos suite (ChaosProxy relay threads, client retry loop, drain), the
 # tenant coordinator suite (mutex-guarded lease bookkeeping racing
-# the server's reader threads), and the parallel-simulator differential
-# suite (WaferSimulator row bands on shared thread pools).
+# the server's reader threads), the parallel-simulator differential
+# suite (WaferSimulator row bands on shared thread pools), and the
+# hostile-input parsers: the cuSZ/SZ3 baselines, the CSZA archive, the
+# Huffman table, and the stream fuzzers (where a length that wraps a
+# bound would read past a buffer).
 #
 #   scripts/run_sanitizer_tests.sh thread  [build-dir]   # ThreadSanitizer
 #   scripts/run_sanitizer_tests.sh address [build-dir]   # AddressSanitizer
@@ -37,7 +40,8 @@ cmake -B "$BUILD_DIR" -S . \
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
   --target test_engine test_checksum test_flenc test_prequant \
   test_block_codec test_kernels_dispatch test_fault_injection test_obs \
-  test_service test_chaos test_tenant test_wafer_sim
+  test_service test_chaos test_tenant test_wafer_sim test_baselines \
+  test_archive test_huffman test_robustness
 
 cd "$BUILD_DIR"
 if [ "$MODE" = "thread" ]; then
@@ -46,5 +50,5 @@ else
   export ASAN_OPTIONS="halt_on_error=1 detect_stack_use_after_return=1"
 fi
 ctest --output-on-failure \
-  -R '^test_(engine|checksum|flenc|prequant|block_codec|kernels_dispatch|fault_injection|obs|service|chaos|tenant|wafer_sim)$'
+  -R '^test_(engine|checksum|flenc|prequant|block_codec|kernels_dispatch|fault_injection|obs|service|chaos|tenant|wafer_sim|baselines|archive|huffman|robustness)$'
 echo "${MODE} sanitizer tests passed."

@@ -2,10 +2,11 @@
 
 #include <bit>
 #include <cmath>
-#include <cstring>
 
+#include "baselines/huffman_envelope.h"
 #include "baselines/lorenzo_nd.h"
 #include "common/bitio.h"
+#include "common/byte_io.h"
 #include "common/error.h"
 #include "common/stats.h"
 #include "huffman/huffman.h"
@@ -14,24 +15,7 @@ namespace ceresz::baselines {
 
 namespace {
 
-constexpr char kMagic[4] = {'S', 'Z', '3', 'R'};
-
-void append_u32(std::vector<u8>& out, u32 v) {
-  for (int b = 0; b < 4; ++b) out.push_back(static_cast<u8>((v >> (8 * b)) & 0xff));
-}
-void append_u64(std::vector<u8>& out, u64 v) {
-  for (int b = 0; b < 8; ++b) out.push_back(static_cast<u8>((v >> (8 * b)) & 0xff));
-}
-u32 read_u32(const u8* p) {
-  u32 v = 0;
-  for (int b = 0; b < 4; ++b) v |= static_cast<u32>(p[b]) << (8 * b);
-  return v;
-}
-u64 read_u64(const u8* p) {
-  u64 v = 0;
-  for (int b = 0; b < 8; ++b) v |= static_cast<u64>(p[b]) << (8 * b);
-  return v;
-}
+constexpr std::string_view kMagic = "SZ3R";
 
 }  // namespace
 
@@ -118,25 +102,9 @@ std::vector<u8> Sz3Compressor::compress(const data::Field& field,
   }
   std::vector<u8> bits = writer.finish();
 
-  std::vector<u8> out;
-  out.insert(out.end(), kMagic, kMagic + 4);
-  out.push_back(static_cast<u8>(field.dims.size()));
-  for (std::size_t d : field.dims) append_u64(out, d);
-  u64 eps_bits;
-  std::memcpy(&eps_bits, &eps, sizeof(eps_bits));
-  append_u64(out, eps_bits);
-  append_u32(out, radius_);
-  append_u64(out, values.size());
-  codec.serialize_table(out);
-  append_u64(out, bits.size());
-  out.insert(out.end(), bits.begin(), bits.end());
-  append_u64(out, outliers.size());
-  const std::size_t raw_at = out.size();
-  out.resize(out.size() + outliers.size() * sizeof(f32));
-  if (!outliers.empty()) {
-    std::memcpy(out.data() + raw_at, outliers.data(),
-                outliers.size() * sizeof(f32));
-  }
+  const std::vector<u8> out = write_envelope(
+      kMagic, {field.dims, eps, radius_, values.size(), std::move(codec), bits,
+               raw_bytes(outliers)});
 
   if (stats != nullptr) {
     stats->eps_abs = eps;
@@ -150,50 +118,15 @@ std::vector<u8> Sz3Compressor::compress(const data::Field& field,
 }
 
 std::vector<f32> Sz3Compressor::decompress(std::span<const u8> stream) const {
-  CERESZ_CHECK(stream.size() >= 5 && std::memcmp(stream.data(), kMagic, 4) == 0,
-               "Sz3Compressor: bad magic");
-  std::size_t pos = 4;
-  const int ndims = stream[pos++];
-  CERESZ_CHECK(ndims >= 1 && ndims <= 3, "Sz3Compressor: corrupt dims");
-  std::vector<std::size_t> dims(ndims);
-  for (int d = 0; d < ndims; ++d) {
-    CERESZ_CHECK(pos + 8 <= stream.size(), "Sz3Compressor: truncated header");
-    dims[d] = read_u64(stream.data() + pos);
-    pos += 8;
-  }
-  CERESZ_CHECK(pos + 20 <= stream.size(), "Sz3Compressor: truncated header");
-  f64 eps;
-  const u64 eps_bits = read_u64(stream.data() + pos);
-  std::memcpy(&eps, &eps_bits, sizeof(eps));
-  pos += 8;
-  const u32 radius = read_u32(stream.data() + pos);
-  pos += 4;
-  const u64 count = read_u64(stream.data() + pos);
-  pos += 8;
-
-  // Geometry sanity before any allocation: a corrupt header must not make
-  // us reserve unbounded memory.
-  const GridShape shape_check = GridShape::from_dims(dims);
-  CERESZ_CHECK(shape_check.size() == count,
-               "Sz3Compressor: corrupt geometry");
-  CERESZ_CHECK(count <= (u64{1} << 31),
-               "Sz3Compressor: element count exceeds the decoder limit");
-
-  std::size_t table_bytes = 0;
-  huffman::HuffmanCodec codec =
-      huffman::HuffmanCodec::deserialize_table(stream.subspan(pos), table_bytes);
-  pos += table_bytes;
-  CERESZ_CHECK(pos + 8 <= stream.size(), "Sz3Compressor: truncated bitstream");
-  const u64 bit_bytes = read_u64(stream.data() + pos);
-  pos += 8;
-  CERESZ_CHECK(pos + bit_bytes <= stream.size(),
-               "Sz3Compressor: truncated bitstream payload");
-  BitReader reader(stream.data() + pos, bit_bytes);
+  const HuffmanEnvelope env = parse_envelope(stream, kMagic, "Sz3Compressor");
+  const u64 count = env.count;
+  const u32 radius = env.radius;
+  BitReader reader(env.bits.data(), env.bits.size());
   const u32 run_base = 2 * radius + 1;
   std::vector<u32> symbols;
   symbols.reserve(count);
   while (symbols.size() < count) {
-    const u32 t = codec.decode_one(reader);
+    const u32 t = env.codec.decode_one(reader);
     if (t >= run_base) {
       const int bucket = static_cast<int>(t - run_base);
       CERESZ_CHECK(bucket < 63, "Sz3Compressor: corrupt run token");
@@ -205,21 +138,10 @@ std::vector<f32> Sz3Compressor::decompress(std::span<const u8> stream) const {
       symbols.push_back(t);
     }
   }
-  pos += bit_bytes;
+  const std::vector<f32> outliers = env.outlier_values<f32>();
 
-  CERESZ_CHECK(pos + 8 <= stream.size(), "Sz3Compressor: truncated outliers");
-  const u64 n_outliers = read_u64(stream.data() + pos);
-  pos += 8;
-  CERESZ_CHECK(pos + n_outliers * sizeof(f32) <= stream.size(),
-               "Sz3Compressor: truncated outlier payload");
-  std::vector<f32> outliers(n_outliers);
-  if (n_outliers > 0) {
-    std::memcpy(outliers.data(), stream.data() + pos,
-                n_outliers * sizeof(f32));
-  }
-
-  const GridShape shape = GridShape::from_dims(dims);
-  const f64 two_eps = 2.0 * eps;
+  const GridShape shape = GridShape::from_dims(env.dims);
+  const f64 two_eps = 2.0 * env.eps;
   const u32 escape = 2 * radius;
 
   std::vector<f32> recon(count);

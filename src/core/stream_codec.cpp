@@ -1,7 +1,6 @@
 #include "core/stream_codec.h"
 
-#include <cstring>
-
+#include "common/byte_io.h"
 #include "common/error.h"
 #include "common/stats.h"
 
@@ -12,17 +11,7 @@ namespace {
 // Layout (little-endian): magic[4] | block header_bytes u8 |
 // zero_block_shortcut u8 | block_size u16 | element_count u64 |
 // eps_abs f64 bits.
-constexpr char kMagic[4] = {'C', 'S', 'Z', '1'};
-
-void append_le(std::vector<u8>& out, u64 v, int bytes) {
-  for (int b = 0; b < bytes; ++b) out.push_back(static_cast<u8>(v >> (8 * b)));
-}
-
-u64 read_le(const u8* p, int bytes) {
-  u64 v = 0;
-  for (int b = 0; b < bytes; ++b) v |= static_cast<u64>(p[b]) << (8 * b);
-  return v;
-}
+constexpr std::string_view kMagic = "CSZ1";
 
 }  // namespace
 
@@ -32,43 +21,40 @@ void StreamCodec::write_header(const StreamHeader& header,
                                std::vector<u8>& out) const {
   const CodecConfig& cfg = block_codec_.config();
   const std::size_t start = out.size();
-  out.insert(out.end(), kMagic, kMagic + 4);
-  out.push_back(static_cast<u8>(cfg.header_bytes));
-  out.push_back(cfg.zero_block_shortcut ? u8{1} : u8{0});
-  append_le(out, cfg.block_size, 2);
-  append_le(out, header.element_count, 8);
-  u64 eps_bits;
-  static_assert(sizeof(eps_bits) == sizeof(header.eps_abs));
-  std::memcpy(&eps_bits, &header.eps_abs, sizeof(eps_bits));
-  append_le(out, eps_bits, 8);
+  ByteWriter w(out);
+  w.put_tag(kMagic);
+  w.put_u8(static_cast<u8>(cfg.header_bytes));
+  w.put_u8(cfg.zero_block_shortcut ? u8{1} : u8{0});
+  w.put_u16(static_cast<u16>(cfg.block_size));
+  w.put_u64(header.element_count);
+  w.put_f64(header.eps_abs);
   CERESZ_CHECK(out.size() - start == header_size(),
                "StreamCodec: header size drift");
 }
 
 StreamCodec::StreamHeader StreamCodec::parse_header(
     std::span<const u8> stream) const {
-  CERESZ_CHECK(stream.size() >= header_size(),
-               "StreamCodec: stream shorter than container header");
-  CERESZ_CHECK(std::memcmp(stream.data(), kMagic, 4) == 0,
+  ByteReader r(stream, "StreamCodec: container header");
+  CERESZ_CHECK(r.next_is(kMagic),
                "StreamCodec: bad magic — not a CereSZ stream");
   const CodecConfig& cfg = block_codec_.config();
-  CERESZ_CHECK(stream[4] == cfg.header_bytes,
+  CERESZ_CHECK(r.get_u8() == cfg.header_bytes,
                "StreamCodec: stream was written with a different block "
                "header width than this codec's configuration");
-  CERESZ_CHECK(read_le(stream.data() + 6, 2) == cfg.block_size,
+  r.skip(1);  // zero_block_shortcut
+  CERESZ_CHECK(r.get_u16() == cfg.block_size,
                "StreamCodec: stream was written with a different block size "
                "than this codec's configuration");
   StreamHeader h;
-  h.element_count = read_le(stream.data() + 8, 8);
-  const u64 eps_bits = read_le(stream.data() + 16, 8);
-  std::memcpy(&h.eps_abs, &eps_bits, sizeof(h.eps_abs));
+  h.element_count = r.get_u64();
+  h.eps_abs = r.get_f64();
   CERESZ_CHECK(h.eps_abs > 0.0 || h.element_count == 0,
                "StreamCodec: corrupt header (non-positive error bound)");
   // Every block record is at least header_bytes, so a corrupt count
   // cannot make a decoder allocate more than the stream could hold.
   const u64 n_blocks = h.element_count / cfg.block_size +
                        (h.element_count % cfg.block_size != 0 ? 1 : 0);
-  CERESZ_CHECK(n_blocks <= (stream.size() - header_size()) / cfg.header_bytes,
+  CERESZ_CHECK(n_blocks <= r.remaining() / cfg.header_bytes,
                "StreamCodec: corrupt header (element count exceeds what the "
                "stream could hold)");
   return h;

@@ -1,8 +1,8 @@
 #include "core/tiled_codec.h"
 
 #include <algorithm>
-#include <cstring>
 
+#include "common/byte_io.h"
 #include "common/error.h"
 #include "common/stats.h"
 #include "core/flenc.h"
@@ -13,16 +13,7 @@ namespace ceresz::core {
 
 namespace {
 
-constexpr char kMagic[4] = {'C', 'S', 'Z', '2'};
-
-void append_u64(std::vector<u8>& out, u64 v) {
-  for (int b = 0; b < 8; ++b) out.push_back(static_cast<u8>((v >> (8 * b)) & 0xff));
-}
-u64 read_u64(const u8* p) {
-  u64 v = 0;
-  for (int b = 0; b < 8; ++b) v |= static_cast<u64>(p[b]) << (8 * b);
-  return v;
-}
+constexpr std::string_view kMagic = "CSZ2";
 
 /// The block-record format of one tile, after validating the tiling.
 CodecConfig record_config(const TiledCodecConfig& tiled) {
@@ -61,17 +52,16 @@ CompressionResult Tiled2dCodec::compress(std::span<const f32> field,
   result.element_count = field.size();
 
   auto& out = result.stream;
-  out.insert(out.end(), kMagic, kMagic + 4);
-  out.push_back(static_cast<u8>(config_.header_bytes));
-  out.push_back(config_.zero_block_shortcut ? u8{1} : u8{0});
-  out.push_back(static_cast<u8>(config_.tile_w));
-  out.push_back(static_cast<u8>(config_.tile_h));
-  append_u64(out, width);
-  append_u64(out, height);
-  u64 eps_bits;
-  std::memcpy(&eps_bits, &eps, sizeof(eps_bits));
-  append_u64(out, eps_bits);
-  out.insert(out.end(), 8, 0);  // reserved
+  ByteWriter w(out);
+  w.put_tag(kMagic);
+  w.put_u8(static_cast<u8>(config_.header_bytes));
+  w.put_u8(config_.zero_block_shortcut ? u8{1} : u8{0});
+  w.put_u8(static_cast<u8>(config_.tile_w));
+  w.put_u8(static_cast<u8>(config_.tile_h));
+  w.put_u64(width);
+  w.put_u64(height);
+  w.put_f64(eps);
+  w.put_zeros(8);  // reserved
   CERESZ_CHECK(out.size() == header_size(), "Tiled2dCodec: header drift");
   if (field.empty()) return result;
 
@@ -114,18 +104,20 @@ CompressionResult Tiled2dCodec::compress(std::span<const f32> field,
 std::vector<f32> Tiled2dCodec::decompress(std::span<const u8> stream,
                                           std::size_t& width,
                                           std::size_t& height) const {
-  CERESZ_CHECK(stream.size() >= header_size(),
-               "Tiled2dCodec: truncated stream");
-  CERESZ_CHECK(std::memcmp(stream.data(), kMagic, 4) == 0,
+  ByteReader r(stream, "Tiled2dCodec");
+  CERESZ_CHECK(r.next_is(kMagic),
                "Tiled2dCodec: bad magic — not a tiled CereSZ stream");
-  CERESZ_CHECK(stream[4] == config_.header_bytes &&
-                   stream[6] == config_.tile_w && stream[7] == config_.tile_h,
+  const u8 header_bytes = r.get_u8();
+  r.skip(1);  // zero_block_shortcut
+  const u8 tile_w = r.get_u8();
+  const u8 tile_h = r.get_u8();
+  CERESZ_CHECK(header_bytes == config_.header_bytes &&
+                   tile_w == config_.tile_w && tile_h == config_.tile_h,
                "Tiled2dCodec: stream written with a different configuration");
-  width = read_u64(stream.data() + 8);
-  height = read_u64(stream.data() + 16);
-  f64 eps;
-  const u64 eps_bits = read_u64(stream.data() + 24);
-  std::memcpy(&eps, &eps_bits, sizeof(eps));
+  width = r.get_u64();
+  height = r.get_u64();
+  const f64 eps = r.get_f64();
+  r.skip(8);  // reserved
   CERESZ_CHECK(width < (u64{1} << 32) && height < (u64{1} << 32),
                "Tiled2dCodec: corrupt header (absurd dims)");
   CERESZ_CHECK(eps > 0.0 || width * height == 0,
@@ -135,8 +127,7 @@ std::vector<f32> Tiled2dCodec::decompress(std::span<const u8> stream,
   {
     const u64 claim_tiles = ((width + config_.tile_w - 1) / config_.tile_w) *
                             ((height + config_.tile_h - 1) / config_.tile_h);
-    CERESZ_CHECK(claim_tiles <= (stream.size() - header_size()) /
-                                    config_.header_bytes,
+    CERESZ_CHECK(claim_tiles <= r.remaining() / config_.header_bytes,
                  "Tiled2dCodec: corrupt header (tile count exceeds what the "
                  "stream could hold)");
   }
@@ -152,25 +143,20 @@ std::vector<f32> Tiled2dCodec::decompress(std::span<const u8> stream,
   std::vector<i32> quant(L), resid(L);
   std::vector<u32> absv(L);
   const std::size_t plane_bytes = L / 8;
-  std::size_t pos = header_size();
 
   for (std::size_t ty = 0; ty < tiles_y; ++ty) {
     for (std::size_t tx = 0; tx < tiles_x; ++tx) {
-      const u32 fl = records_.read_header(stream.subspan(pos));
-      const std::size_t record = records_.compressed_size(fl);
-      CERESZ_CHECK(record <= stream.size() - pos,
-                   "Tiled2dCodec: truncated tile payload");
+      const u32 fl = records_.read_header(r.rest());
+      const std::span<const u8> record =
+          r.bytes(records_.compressed_size(fl)).subspan(config_.header_bytes);
       if (fl == 0) {
         std::fill(tile.begin(), tile.end(), 0.0f);
       } else {
-        const std::size_t signs_at = pos + config_.header_bytes;
-        bit_unshuffle(stream.subspan(signs_at + plane_bytes, fl * plane_bytes),
-                      fl, absv);
-        apply_sign(absv, stream.subspan(signs_at, plane_bytes), resid);
+        bit_unshuffle(record.subspan(plane_bytes, fl * plane_bytes), fl, absv);
+        apply_sign(absv, record.first(plane_bytes), resid);
         lorenzo2d_inverse(resid, quant, config_.tile_w, config_.tile_h);
         dequant(quant, tile, 2.0 * eps);
       }
-      pos += record;
       scatter_tile(tile, width, height, tx * config_.tile_w,
                    ty * config_.tile_h, config_.tile_w, config_.tile_h,
                    field);

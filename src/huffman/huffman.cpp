@@ -4,6 +4,7 @@
 #include <cmath>
 #include <queue>
 
+#include "common/byte_io.h"
 #include "common/error.h"
 
 namespace ceresz::huffman {
@@ -143,40 +144,32 @@ void HuffmanCodec::assign_canonical_codes() {
 }
 
 void HuffmanCodec::serialize_table(std::vector<u8>& out) const {
-  const u32 n = static_cast<u32>(lengths_.size());
-  for (int b = 0; b < 4; ++b) out.push_back(static_cast<u8>((n >> (8 * b)) & 0xff));
+  ByteWriter w(out);
+  w.put_u32(static_cast<u32>(lengths_.size()));
   for (const auto& [symbol, len] : lengths_) {
-    for (int b = 0; b < 4; ++b) {
-      out.push_back(static_cast<u8>((symbol >> (8 * b)) & 0xff));
-    }
-    out.push_back(static_cast<u8>(len));
+    w.put_u32(symbol);
+    w.put_u8(static_cast<u8>(len));
   }
 }
 
 HuffmanCodec HuffmanCodec::deserialize_table(std::span<const u8> in,
                                              std::size_t& consumed) {
-  CERESZ_CHECK(in.size() >= 4, "HuffmanCodec: truncated table");
-  u32 n = 0;
-  for (int b = 0; b < 4; ++b) n |= static_cast<u32>(in[b]) << (8 * b);
+  ByteReader r(in, "HuffmanCodec: table");
+  const u32 n = r.get_u32();
   CERESZ_CHECK(n > 0, "HuffmanCodec: empty table");
-  const std::size_t need = 4 + static_cast<std::size_t>(n) * 5;
-  CERESZ_CHECK(in.size() >= need, "HuffmanCodec: truncated table entries");
+  // Bound the entry count by the input before reserving for it.
+  ByteReader entries(r.elements(n, 5), "HuffmanCodec: table entries");
 
   HuffmanCodec codec;
   codec.lengths_.reserve(n);
-  std::size_t pos = 4;
   for (u32 i = 0; i < n; ++i) {
-    u32 symbol = 0;
-    for (int b = 0; b < 4; ++b) {
-      symbol |= static_cast<u32>(in[pos + b]) << (8 * b);
-    }
-    const int len = in[pos + 4];
+    const u32 symbol = entries.get_u32();
+    const int len = entries.get_u8();
     CERESZ_CHECK(len >= 1 && len <= kMaxCodeLen,
                  "HuffmanCodec: corrupt code length");
     codec.lengths_.emplace_back(symbol, len);
-    pos += 5;
   }
-  consumed = pos;
+  consumed = r.position();
   codec.assign_canonical_codes();
   return codec;
 }

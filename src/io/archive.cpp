@@ -1,8 +1,8 @@
 #include "io/archive.h"
 
-#include <cstring>
 #include <numeric>
 
+#include "common/byte_io.h"
 #include "common/error.h"
 #include "io/file_io.h"
 
@@ -10,57 +10,8 @@ namespace ceresz::io {
 
 namespace {
 
-constexpr char kMagic[4] = {'C', 'S', 'Z', 'A'};
+constexpr std::string_view kMagic = "CSZA";
 constexpr u32 kVersion = 1;
-
-void append_u32(std::vector<u8>& out, u32 v) {
-  for (int b = 0; b < 4; ++b) out.push_back(static_cast<u8>((v >> (8 * b)) & 0xff));
-}
-void append_u64(std::vector<u8>& out, u64 v) {
-  for (int b = 0; b < 8; ++b) out.push_back(static_cast<u8>((v >> (8 * b)) & 0xff));
-}
-
-class Reader {
- public:
-  explicit Reader(std::span<const u8> bytes) : bytes_(bytes) {}
-
-  u32 u32_at() { return static_cast<u32>(u_bytes(4)); }
-  u64 u64_at() { return u_bytes(8); }
-
-  std::string string_at() {
-    const u64 len = u32_at();
-    CERESZ_CHECK(len <= 4096, "Archive: absurd string length");
-    need(len);
-    std::string s(reinterpret_cast<const char*>(bytes_.data() + pos_), len);
-    pos_ += len;
-    return s;
-  }
-
-  std::span<const u8> blob_at() {
-    const u64 len = u64_at();
-    need(len);
-    auto out = bytes_.subspan(pos_, len);
-    pos_ += len;
-    return out;
-  }
-
-  bool done() const { return pos_ == bytes_.size(); }
-
- private:
-  u64 u_bytes(int n) {
-    need(n);
-    u64 v = 0;
-    for (int b = 0; b < n; ++b) v |= static_cast<u64>(bytes_[pos_ + b]) << (8 * b);
-    pos_ += n;
-    return v;
-  }
-  void need(u64 n) {
-    CERESZ_CHECK(pos_ + n <= bytes_.size(), "Archive: truncated input");
-  }
-
-  std::span<const u8> bytes_;
-  std::size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -91,39 +42,41 @@ Archive Archive::compress_fields(const std::vector<data::Field>& fields,
 
 std::vector<u8> Archive::serialize() const {
   std::vector<u8> out;
-  out.insert(out.end(), kMagic, kMagic + 4);
-  append_u32(out, kVersion);
-  append_u32(out, static_cast<u32>(entries_.size()));
+  ByteWriter w(out);
+  w.put_tag(kMagic);
+  w.put_u32(kVersion);
+  w.put_u32(static_cast<u32>(entries_.size()));
   for (const auto& entry : entries_) {
-    append_u32(out, static_cast<u32>(entry.name.size()));
-    out.insert(out.end(), entry.name.begin(), entry.name.end());
-    append_u32(out, static_cast<u32>(entry.dims.size()));
-    for (std::size_t d : entry.dims) append_u64(out, d);
-    append_u64(out, entry.stream.size());
-    out.insert(out.end(), entry.stream.begin(), entry.stream.end());
+    w.put_u32(static_cast<u32>(entry.name.size()));
+    w.put_tag(entry.name);
+    w.put_u32(static_cast<u32>(entry.dims.size()));
+    for (std::size_t d : entry.dims) w.put_u64(d);
+    w.put_u64(entry.stream.size());
+    w.put_bytes(entry.stream);
   }
   return out;
 }
 
 Archive Archive::parse(std::span<const u8> bytes) {
-  CERESZ_CHECK(bytes.size() >= 12 && std::memcmp(bytes.data(), kMagic, 4) == 0,
-               "Archive: bad magic");
-  Reader r(bytes.subspan(4));
-  const u32 version = r.u32_at();
-  CERESZ_CHECK(version == kVersion, "Archive: unsupported version");
-  const u32 count = r.u32_at();
+  ByteReader r(bytes, "Archive");
+  CERESZ_CHECK(r.next_is(kMagic), "Archive: bad magic");
+  CERESZ_CHECK(r.get_u32() == kVersion, "Archive: unsupported version");
+  const u32 count = r.get_u32();
   CERESZ_CHECK(count <= 1u << 20, "Archive: absurd entry count");
 
   Archive archive;
   archive.entries_.reserve(count);
   for (u32 i = 0; i < count; ++i) {
     ArchiveEntry entry;
-    entry.name = r.string_at();
-    const u32 ndims = r.u32_at();
+    const u32 name_len = r.get_u32();
+    CERESZ_CHECK(name_len <= 4096, "Archive: absurd string length");
+    const auto name = r.bytes(name_len);
+    entry.name.assign(name.begin(), name.end());
+    const u32 ndims = r.get_u32();
     CERESZ_CHECK(ndims >= 1 && ndims <= 8, "Archive: corrupt dims");
     entry.dims.resize(ndims);
-    for (u32 d = 0; d < ndims; ++d) entry.dims[d] = r.u64_at();
-    const auto blob = r.blob_at();
+    for (u32 d = 0; d < ndims; ++d) entry.dims[d] = r.get_u64();
+    const auto blob = r.bytes(r.get_u64());
     entry.stream.assign(blob.begin(), blob.end());
     archive.entries_.push_back(std::move(entry));
   }

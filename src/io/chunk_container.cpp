@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "common/byte_io.h"
 #include "common/checksum.h"
 #include "common/error.h"
 
@@ -9,41 +10,13 @@ namespace ceresz::io {
 
 namespace {
 
-constexpr char kMagic[4] = {'C', 'S', 'Z', 'C'};
-
-void append_u16(std::vector<u8>& out, u16 v) {
-  out.push_back(static_cast<u8>(v & 0xff));
-  out.push_back(static_cast<u8>(v >> 8));
-}
-
-void append_u32(std::vector<u8>& out, u32 v) {
-  for (int b = 0; b < 4; ++b) out.push_back(static_cast<u8>((v >> (8 * b)) & 0xff));
-}
-
-void append_u64(std::vector<u8>& out, u64 v) {
-  for (int b = 0; b < 8; ++b) out.push_back(static_cast<u8>((v >> (8 * b)) & 0xff));
-}
-
-u16 read_u16(const u8* p) {
-  return static_cast<u16>(p[0] | (static_cast<u16>(p[1]) << 8));
-}
-
-u32 read_u32(const u8* p) {
-  u32 v = 0;
-  for (int b = 0; b < 4; ++b) v |= static_cast<u32>(p[b]) << (8 * b);
-  return v;
-}
-
-u64 read_u64(const u8* p) {
-  u64 v = 0;
-  for (int b = 0; b < 8; ++b) v |= static_cast<u64>(p[b]) << (8 * b);
-  return v;
-}
+constexpr std::string_view kMagic = "CSZC";
 
 }  // namespace
 
 bool is_chunked_stream(std::span<const u8> stream) {
-  return stream.size() >= 4 && std::memcmp(stream.data(), kMagic, 4) == 0;
+  return stream.size() >= kMagic.size() &&
+         std::memcmp(stream.data(), kMagic.data(), kMagic.size()) == 0;
 }
 
 void write_container_prefix(std::vector<u8>& out, const ChunkedHeader& header,
@@ -59,57 +32,52 @@ void write_container_prefix(std::vector<u8>& out, const ChunkedHeader& header,
                "chunk container: block size does not fit the u16 header "
                "field");
 
-  out.insert(out.end(), kMagic, kMagic + 4);
-  out.push_back(static_cast<u8>(header.version));
-  out.push_back(static_cast<u8>(header.codec_header_bytes));
-  append_u16(out, static_cast<u16>(header.block_size));
-  append_u32(out, 0);  // flags
-  append_u32(out, header.chunk_count);
-  append_u64(out, header.element_count);
-  append_u64(out, header.chunk_elems);
-  u64 eps_bits;
-  static_assert(sizeof(eps_bits) == sizeof(header.eps_abs));
-  std::memcpy(&eps_bits, &header.eps_abs, sizeof(eps_bits));
-  append_u64(out, eps_bits);
-  append_u32(out, 0);  // reserved
-  append_u32(out, crc32c(std::span<const u8>(out.data(), out.size())));
+  ByteWriter w(out);
+  w.put_tag(kMagic);
+  w.put_u8(static_cast<u8>(header.version));
+  w.put_u8(static_cast<u8>(header.codec_header_bytes));
+  w.put_u16(static_cast<u16>(header.block_size));
+  w.put_u32(0);  // flags
+  w.put_u32(header.chunk_count);
+  w.put_u64(header.element_count);
+  w.put_u64(header.chunk_elems);
+  w.put_f64(header.eps_abs);
+  w.put_u32(0);  // reserved
+  w.put_u32(crc32c(out));
   CERESZ_CHECK(out.size() == ChunkedHeader::kHeaderBytes,
                "chunk container: header size drift");
 
   const std::size_t table_start = out.size();
   for (const ChunkEntry& e : entries) {
-    append_u64(out, e.offset);
-    append_u64(out, e.compressed_bytes);
-    append_u64(out, e.element_count);
-    append_u32(out, e.crc32c);
-    append_u32(out, 0);  // reserved
+    w.put_u64(e.offset);
+    w.put_u64(e.compressed_bytes);
+    w.put_u64(e.element_count);
+    w.put_u32(e.crc32c);
+    w.put_u32(0);  // reserved
   }
-  append_u32(out, crc32c(std::span<const u8>(out.data() + table_start,
-                                             out.size() - table_start)));
+  w.put_u32(crc32c(std::span<const u8>(out).subspan(table_start)));
   CERESZ_CHECK(out.size() == header.payload_start(),
                "chunk container: table size drift");
 }
 
 ParsedContainer parse_container(std::span<const u8> stream) {
-  CERESZ_CHECK(stream.size() >= ChunkedHeader::kHeaderBytes,
-               "chunk container: stream shorter than header");
-  CERESZ_CHECK(is_chunked_stream(stream),
+  ByteReader r(stream, "chunk container");
+  CERESZ_CHECK(r.next_is(kMagic),
                "chunk container: bad magic — not a CereSZ chunked stream");
-
-  const u32 stored_header_crc = read_u32(stream.data() + 44);
-  CERESZ_CHECK(crc32c(stream.subspan(0, 44)) == stored_header_crc,
-               "chunk container: header CRC mismatch (corrupt header)");
-
   ParsedContainer parsed;
   ChunkedHeader& h = parsed.header;
-  h.version = stream[4];
-  h.codec_header_bytes = stream[5];
-  h.block_size = read_u16(stream.data() + 6);
-  h.chunk_count = read_u32(stream.data() + 12);
-  h.element_count = read_u64(stream.data() + 16);
-  h.chunk_elems = read_u64(stream.data() + 24);
-  const u64 eps_bits = read_u64(stream.data() + 32);
-  std::memcpy(&h.eps_abs, &eps_bits, sizeof(h.eps_abs));
+  h.version = r.get_u8();
+  h.codec_header_bytes = r.get_u8();
+  h.block_size = r.get_u16();
+  r.skip(4);  // flags
+  h.chunk_count = r.get_u32();
+  h.element_count = r.get_u64();
+  h.chunk_elems = r.get_u64();
+  h.eps_abs = r.get_f64();
+  r.skip(4);  // reserved
+  const std::span<const u8> crc_covered = stream.first(r.position());
+  CERESZ_CHECK(crc32c(crc_covered) == r.get_u32(),
+               "chunk container: header CRC mismatch (corrupt header)");
 
   CERESZ_CHECK(h.version == 1, "chunk container: unsupported version");
   CERESZ_CHECK(h.block_size > 0, "chunk container: corrupt header (block size)");
@@ -131,27 +99,22 @@ ParsedContainer parse_container(std::span<const u8> stream) {
                "chunk container: chunk count does not match element count "
                "and chunk size");
   // Bound the table size by the stream before allocating for it.
-  CERESZ_CHECK(stream.size() >= ChunkedHeader::kHeaderBytes + h.table_bytes(),
-               "chunk container: truncated chunk table");
-
-  const u8* table = stream.data() + ChunkedHeader::kHeaderBytes;
-  const std::size_t entry_bytes =
-      static_cast<std::size_t>(h.chunk_count) * ChunkedHeader::kEntryBytes;
-  const u32 stored_table_crc = read_u32(table + entry_bytes);
-  CERESZ_CHECK(
-      crc32c(std::span<const u8>(table, entry_bytes)) == stored_table_crc,
-      "chunk container: chunk table CRC mismatch (corrupt table)");
+  const std::span<const u8> table =
+      r.elements(h.chunk_count, ChunkedHeader::kEntryBytes);
+  CERESZ_CHECK(crc32c(table) == r.get_u32(),
+               "chunk container: chunk table CRC mismatch (corrupt table)");
 
   parsed.entries.resize(h.chunk_count);
+  ByteReader t(table, "chunk container: chunk table");
   u64 expected_offset = h.payload_start();
   u64 total_elems = 0;
   for (u32 i = 0; i < h.chunk_count; ++i) {
-    const u8* p = table + static_cast<std::size_t>(i) * ChunkedHeader::kEntryBytes;
     ChunkEntry& e = parsed.entries[i];
-    e.offset = read_u64(p);
-    e.compressed_bytes = read_u64(p + 8);
-    e.element_count = read_u64(p + 16);
-    e.crc32c = read_u32(p + 24);
+    e.offset = t.get_u64();
+    e.compressed_bytes = t.get_u64();
+    e.element_count = t.get_u64();
+    e.crc32c = t.get_u32();
+    t.skip(4);  // reserved
     CERESZ_CHECK(e.offset == expected_offset,
                  "chunk container: chunk offsets are not contiguous");
     // expected_offset <= stream.size() holds inductively, so the subtraction

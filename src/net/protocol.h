@@ -55,7 +55,8 @@
 //   PING        empty -> empty. Liveness + RTT probe.
 //   COMPRESS    CompressRequest -> the chunked "CSZC" container bytes,
 //               byte-identical to what ParallelEngine::compress /
-//               `ceresz compress --threads N` writes for the same input.
+//               `ceresz compress` (at any --threads) writes for the same
+//               input and chunk size.
 //   DECOMPRESS  DecompressRequest -> u64 element_count + f32 values.
 //   STATS       empty -> the server MetricsRegistry snapshot as JSON
 //               (obs::to_json; ceresz_server_* + ceresz_engine_*).

@@ -43,7 +43,7 @@ void Histogram::observe(f64 v) {
   counts_[idx].fetch_add(1, std::memory_order_relaxed);
   u64 cur = sum_bits_.load(std::memory_order_relaxed);
   for (;;) {
-    const u64 next = detail::f64_bits(detail::bits_f64(cur) + v);
+    const u64 next = std::bit_cast<u64>(std::bit_cast<f64>(cur) + v);
     if (sum_bits_.compare_exchange_weak(cur, next,
                                         std::memory_order_relaxed)) {
       return;
@@ -59,7 +59,7 @@ void Histogram::merge_bucket(std::size_t idx, u64 n) {
 void Histogram::merge_sum(f64 sum) {
   u64 cur = sum_bits_.load(std::memory_order_relaxed);
   for (;;) {
-    const u64 next = detail::f64_bits(detail::bits_f64(cur) + sum);
+    const u64 next = std::bit_cast<u64>(std::bit_cast<f64>(cur) + sum);
     if (sum_bits_.compare_exchange_weak(cur, next,
                                         std::memory_order_relaxed)) {
       return;

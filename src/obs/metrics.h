@@ -19,6 +19,7 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -40,18 +41,6 @@ struct alignas(64) PaddedAtomicU64 {
 
 /// Stable per-thread shard index (hash of the thread id).
 std::size_t thread_shard();
-
-inline u64 f64_bits(f64 v) {
-  u64 bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-inline f64 bits_f64(u64 bits) {
-  f64 v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
 
 }  // namespace detail
 
@@ -81,13 +70,13 @@ class Counter {
 class Gauge {
  public:
   void set(f64 v) {
-    bits_.store(detail::f64_bits(v), std::memory_order_relaxed);
+    bits_.store(std::bit_cast<u64>(v), std::memory_order_relaxed);
   }
 
   void add(f64 delta) {
     u64 cur = bits_.load(std::memory_order_relaxed);
     for (;;) {
-      const u64 next = detail::f64_bits(detail::bits_f64(cur) + delta);
+      const u64 next = std::bit_cast<u64>(std::bit_cast<f64>(cur) + delta);
       if (bits_.compare_exchange_weak(cur, next, std::memory_order_relaxed)) {
         return;
       }
@@ -95,7 +84,7 @@ class Gauge {
   }
 
   f64 value() const {
-    return detail::bits_f64(bits_.load(std::memory_order_relaxed));
+    return std::bit_cast<f64>(bits_.load(std::memory_order_relaxed));
   }
 
  private:
@@ -124,7 +113,7 @@ class Histogram {
   std::vector<u64> bucket_counts() const;
 
   f64 sum() const {
-    return detail::bits_f64(sum_bits_.load(std::memory_order_relaxed));
+    return std::bit_cast<f64>(sum_bits_.load(std::memory_order_relaxed));
   }
 
  private:

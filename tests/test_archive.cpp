@@ -104,6 +104,22 @@ TEST(Archive, ParseRejectsCorruption) {
     bad.push_back(0);
     EXPECT_THROW(Archive::parse(bad), Error);
   }
+  // A blob length of 2^64 - 1 must report truncation, not wrap the bound.
+  {
+    std::vector<u8> bad = {'C', 'S', 'Z', 'A', 1, 0, 0, 0, 1, 0, 0, 0,
+                           1, 0, 0, 0, 'x',  // name "x"
+                           1, 0, 0, 0,       // one dim
+                           4, 0, 0, 0, 0, 0, 0, 0};
+    bad.insert(bad.end(), 8, u8{0xff});  // blob length
+    bad.insert(bad.end(), {1, 2, 3, 4});
+    try {
+      Archive::parse(bad);
+      ADD_FAILURE() << "a wrapped blob length was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Archive, EmptyArchive) {

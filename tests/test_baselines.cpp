@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "baselines/device_model.h"
 #include "common/error.h"
 #include "common/stats.h"
@@ -146,6 +148,30 @@ TEST(Baselines, RejectForeignStreams) {
   EXPECT_THROW(make_sz3()->decompress(junk), Error);
   EXPECT_THROW(make_cusz()->decompress(junk), Error);
   EXPECT_THROW(make_szp()->decompress(junk), Error);
+}
+
+// A hostile bitstream length near 2^64 must be reported as truncation,
+// not wrap a `pos + length` bound and read past the buffer.
+TEST(Baselines, RejectWrappedBitstreamLength) {
+  std::vector<f32> values(256);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = static_cast<f32>(std::sin(0.1 * static_cast<f64>(i)));
+  }
+  const data::Field field = field_1d(values);
+  for (const auto& codec : {make_cusz(), make_sz3()}) {
+    const std::vector<u8> stream =
+        codec->compress(field, core::ErrorBound::absolute(1e-3));
+    // 1-D header: magic, ndims, one dim, eps, radius, count; then the
+    // Huffman table (u32 entry count, 5 bytes per entry).
+    const std::size_t table_at = 4 + 1 + 8 + 8 + 4 + 8;
+    u32 entries = 0;
+    std::memcpy(&entries, stream.data() + table_at, sizeof(entries));
+    const std::size_t length_at = table_at + 4 + std::size_t{entries} * 5;
+    ASSERT_LE(length_at + 8, stream.size());
+    std::vector<u8> bad(stream.begin(), stream.begin() + length_at + 8);
+    std::fill(bad.begin() + length_at, bad.end(), u8{0xff});
+    EXPECT_THROW(codec->decompress(bad), Error) << codec->name();
+  }
 }
 
 TEST(DeviceModel, OrderingMatchesPaper) {

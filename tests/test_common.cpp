@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <string>
 
 #include "common/bitio.h"
+#include "common/byte_io.h"
 #include "common/error.h"
 #include "common/format.h"
 #include "common/rng.h"
@@ -10,6 +15,89 @@
 
 namespace ceresz {
 namespace {
+
+// ---- byte I/O ----
+
+std::string error_of(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(ByteIo, EachReadSucceedsAtTheEndAndThrowsOneByteShort) {
+  const std::vector<u8> buf(8, 0xab);
+  const std::span<const u8> all(buf);
+  EXPECT_EQ(ByteReader(all.first(1), "t").get_u8(), 0xab);
+  EXPECT_EQ(ByteReader(all.first(2), "t").get_u16(), 0xabab);
+  EXPECT_EQ(ByteReader(all.first(4), "t").get_u32(), 0xababababu);
+  EXPECT_EQ(ByteReader(all.first(8), "t").get_u64(), 0xababababababababull);
+  EXPECT_EQ(ByteReader(all, "t").bytes(8).size(), 8u);
+  EXPECT_THROW(ByteReader(all.first(0), "t").get_u8(), Error);
+  EXPECT_THROW(ByteReader(all.first(1), "t").get_u16(), Error);
+  EXPECT_THROW(ByteReader(all.first(3), "t").get_u32(), Error);
+  EXPECT_THROW(ByteReader(all.first(7), "t").get_u64(), Error);
+  EXPECT_THROW(ByteReader(all.first(7), "t").get_f64(), Error);
+  EXPECT_THROW(ByteReader(all.first(7), "t").bytes(8), Error);
+
+  ByteReader r(all, "t");
+  r.skip(5);
+  EXPECT_EQ(r.remaining(), 3u);
+  EXPECT_FALSE(r.done());
+  EXPECT_THROW(r.get_u32(), Error);
+  EXPECT_EQ(r.position(), 5u);  // a failed read consumes nothing
+  r.bytes(3);
+  EXPECT_TRUE(r.done());
+}
+
+TEST(ByteIo, OversizedLengthsThrowWithContext) {
+  const std::vector<u8> buf(15, 0);
+  ByteReader r(buf, "ctx-prefix");
+  r.skip(3);
+  for (u64 n : {r.remaining() + 1, std::numeric_limits<u64>::max()}) {
+    const std::string what = error_of([&] { r.bytes(n); });
+    EXPECT_EQ(what.rfind("ctx-prefix: truncated", 0), 0u) << what;
+  }
+  // elements() must not wrap at count * width either.
+  const std::string what = error_of([&] { r.elements(u64{1} << 62, 8); });
+  EXPECT_EQ(what.rfind("ctx-prefix: truncated", 0), 0u) << what;
+  EXPECT_EQ(r.elements(3, 4).size(), 12u);
+  EXPECT_TRUE(r.done());
+}
+
+TEST(ByteIo, WriteThenReadRoundTripsBits) {
+  const f64 nan_payload =
+      std::bit_cast<f64>(u64{0x7ff8'0000'dead'beefull});
+  const f64 doubles[] = {-0.0, nan_payload, 1.5, -3.25e300};
+  std::vector<u8> buf;
+  ByteWriter w(buf);
+  w.put_u8(0x12);
+  w.put_u16(0xbeef);
+  w.put_u32(0xdeadbeefu);
+  w.put_u64(0x0123456789abcdefull);
+  for (f64 d : doubles) w.put_f64(d);
+  w.put_tag("TAG");
+  w.put_zeros(2);
+  EXPECT_EQ(buf.size(), 1u + 2 + 4 + 8 + 8 * 4 + 3 + 2);
+  // Little-endian on the wire, whatever the host order.
+  EXPECT_EQ(buf[1], 0xef);
+  EXPECT_EQ(buf[2], 0xbe);
+
+  ByteReader r(buf, "t");
+  EXPECT_EQ(r.get_u8(), 0x12);
+  EXPECT_EQ(r.get_u16(), 0xbeef);
+  EXPECT_EQ(r.get_u32(), 0xdeadbeefu);
+  EXPECT_EQ(r.get_u64(), 0x0123456789abcdefull);
+  for (f64 d : doubles) {
+    EXPECT_EQ(std::bit_cast<u64>(r.get_f64()), std::bit_cast<u64>(d));
+  }
+  EXPECT_TRUE(r.next_is("TAG"));
+  EXPECT_FALSE(r.next_is("\x01"));
+  EXPECT_EQ(r.get_u8(), 0);
+  EXPECT_TRUE(r.done());
+}
 
 // ---- bit I/O ----
 

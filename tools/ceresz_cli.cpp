@@ -7,7 +7,10 @@
 //
 // compress/decompress operate on raw little-endian f32 files (the
 // SDRBench convention); simulate additionally runs the data through the
-// simulated wafer and reports cycle-accurate throughput.
+// simulated wafer and reports cycle-accurate throughput. compress always
+// writes the parallel engine's chunked CSZC container (byte-identical at
+// every --threads); decompress and info also accept the single-stream
+// CSZ1 format of core::StreamCodec.
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -36,9 +39,8 @@ int usage() {
                "  ceresz list       <in.csza>\n"
                "  ceresz extract    <in.csza> <field-name> <out.f32>\n"
                "\n"
-               "  --threads N      worker threads (N > 1 uses the parallel\n"
-               "                   engine's chunked container; 1 = one\n"
-               "                   thread, legacy single-stream format)\n"
+               "  --threads N      worker threads; compress writes the same\n"
+               "                   chunked CSZC container at every N\n"
                "  --chunk-elems N  elements per chunk (multiple of 32)\n"
                "  --lenient        zero-fill corrupt chunks on decompress\n"
                "                   instead of aborting; exits 3 (instead of\n"
@@ -47,8 +49,8 @@ int usage() {
                "                   (open in Perfetto / chrome://tracing)\n"
                "  --metrics-out F  write the run's metrics: Prometheus text\n"
                "                   if F ends in .prom, JSON otherwise\n"
-               "  --stats-json F   write engine run stats as JSON (parallel\n"
-               "                   engine paths, i.e. --threads > 1)\n"
+               "  --stats-json F   write engine run stats as JSON (compress,\n"
+               "                   and decompress of a CSZC container)\n"
                "\n"
                "exit codes: 0 success, 1 runtime error (bad stream, I/O),\n"
                "2 usage error, 3 lenient decompress recovered with losses\n");
@@ -248,31 +250,15 @@ std::vector<f32> load_f32(const std::string& path) {
 int cmd_compress(const Args& args, Observability& o) {
   if (args.positional.size() != 2) return usage();
   const auto values = load_f32(args.positional[0]);
-  if (args.threads > 1) {
-    const engine::ParallelEngine eng(engine_options(args, o));
-    const auto result = eng.compress(values, args.bound);
-    io::write_bytes(args.positional[1], result.stream);
-    std::printf("%zu values -> %s (ratio %.2fx, eps %g, %.1f%% zero "
-                "blocks)\n",
-                values.size(), fmt_bytes(result.stream.size()).c_str(),
-                result.compression_ratio(), result.eps_abs,
-                100.0 * result.stats.stream.zero_fraction());
-    print_engine_stats(result.stats);
-    if (!args.stats_json.empty()) write_stats_json(args.stats_json, result.stats);
-    return 0;
-  }
-  if (!args.stats_json.empty()) {
-    std::fprintf(stderr,
-                 "note: --stats-json reports parallel-engine stats; "
-                 "run with --threads > 1\n");
-  }
-  const core::StreamCodec codec;
-  const auto result = codec.compress(values, args.bound);
+  const engine::ParallelEngine eng(engine_options(args, o));
+  const auto result = eng.compress(values, args.bound);
   io::write_bytes(args.positional[1], result.stream);
   std::printf("%zu values -> %s (ratio %.2fx, eps %g, %.1f%% zero blocks)\n",
               values.size(), fmt_bytes(result.stream.size()).c_str(),
               result.compression_ratio(), result.eps_abs,
-              100.0 * result.stats.zero_fraction());
+              100.0 * result.stats.stream.zero_fraction());
+  print_engine_stats(result.stats);
+  if (!args.stats_json.empty()) write_stats_json(args.stats_json, result.stats);
   return 0;
 }
 
