@@ -47,6 +47,20 @@ BENCHMARK_CAPTURE(BM_Prequant, scalar, &core::scalar::prequant)
 BENCHMARK_CAPTURE(BM_Prequant, dispatched, &core::prequant)
     ->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 
+using MinMaxFn = core::MinMax (*)(std::span<const f32>);
+
+// The REL-bound range pass: one 64 Ki-element engine chunk, and a 16 MiB
+// field.
+void BM_MinMax(benchmark::State& state, MinMaxFn min_max) {
+  const auto data = bench_data(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) benchmark::DoNotOptimize(min_max(data));
+  state.SetBytesProcessed(state.iterations() * data.size() * sizeof(f32));
+}
+BENCHMARK_CAPTURE(BM_MinMax, scalar, &core::scalar::min_max)
+    ->Arg(1 << 16)->Arg(1 << 22);
+BENCHMARK_CAPTURE(BM_MinMax, dispatched, &core::min_max)
+    ->Arg(1 << 16)->Arg(1 << 22);
+
 void BM_LorenzoForward(benchmark::State& state) {
   std::vector<i32> data(static_cast<std::size_t>(state.range(0)));
   Rng rng(3);

@@ -40,10 +40,47 @@ constexpr SliceTables make_tables() {
 
 constexpr SliceTables kTables = make_tables();
 
-// Appending n zero bytes to a message maps the raw (uninverted) CRC state
-// s to a linear function of s, so it is four table lookups, one per byte
-// of s. This is what lets independent streams over consecutive pieces of
-// a buffer be combined: crc(A|B) = zeros_|B|(crc(A)) ^ crc_from_0(B).
+// CRC arithmetic is polynomial arithmetic modulo P over GF(2), in the
+// reflected bit order the tables use: bit 31 holds x^0. Appending n zero
+// bytes to a message multiplies its raw (uninverted) CRC state by
+// x^(8n) mod P. This is what lets independent streams over consecutive
+// pieces of a buffer be combined: crc(A|B) = zeros_|B|(crc(A)) ^ crc(B).
+// The pre- and post-inversion of CRC32C cancel out of that identity, so
+// it holds for finished CRC values as well as for raw states.
+constexpr u32 kOne = 1u << 31;  // x^0
+
+/// a * b mod P.
+constexpr u32 mul_mod_p(u32 a, u32 b) {
+  u32 product = 0;
+  for (u32 m = kOne; m != 0; m >>= 1) {
+    if ((a & m) != 0) product ^= b;
+    b = (b & 1u) != 0 ? (b >> 1) ^ kPoly : b >> 1;
+  }
+  return product;
+}
+
+/// kZeroBytePowers[k] = x^(8 * 2^k) mod P, the factor of 2^k zero bytes.
+constexpr std::array<u32, 64> kZeroBytePowers = [] {
+  std::array<u32, 64> powers{};
+  u32 p = kOne >> 8;  // x^8
+  for (u32& power : powers) {
+    power = p;
+    p = mul_mod_p(p, p);
+  }
+  return powers;
+}();
+
+/// x^(8n) mod P, the factor that appends n zero bytes.
+constexpr u32 zero_bytes_factor(u64 n) {
+  u32 factor = kOne;
+  for (std::size_t k = 0; n != 0; ++k, n >>= 1) {
+    if ((n & 1u) != 0) factor = mul_mod_p(kZeroBytePowers[k], factor);
+  }
+  return factor;
+}
+
+/// A fixed zero-byte shift as four table lookups, one per byte of the
+/// state, for the hot loop of the three-stream kernel.
 struct ZeroShift {
   std::array<std::array<u32, 256>, 4> t{};
 
@@ -54,22 +91,11 @@ struct ZeroShift {
 };
 
 constexpr ZeroShift make_zero_shift(std::size_t zero_bytes) {
-  std::array<u32, 32> basis{};  // image of each single-bit state
-  for (u32 bit = 0; bit < 32; ++bit) {
-    u32 crc = 1u << bit;
-    for (std::size_t i = 0; i < zero_bytes; ++i) {
-      crc = kTables[0][crc & 0xffu] ^ (crc >> 8);
-    }
-    basis[bit] = crc;
-  }
+  const u32 factor = zero_bytes_factor(zero_bytes);
   ZeroShift z;
   for (u32 byte = 0; byte < 4; ++byte) {
     for (u32 v = 0; v < 256; ++v) {
-      u32 image = 0;
-      for (u32 j = 0; j < 8; ++j) {
-        if ((v >> j) & 1u) image ^= basis[8 * byte + j];
-      }
-      z.t[byte][v] = image;
+      z.t[byte][v] = mul_mod_p(factor, v << (8 * byte));
     }
   }
   return z;
@@ -136,6 +162,10 @@ u32 crc32c(std::span<const u8> data, u32 seed) {
   if (cpu::has_sse42()) return crc32c_sse42(data, seed);
 #endif
   return crc32c_sw(data, seed);
+}
+
+u32 crc32c_combine(u32 crc_a, u32 crc_b, u64 len_b) {
+  return mul_mod_p(zero_bytes_factor(len_b), crc_a) ^ crc_b;
 }
 
 u32 crc32c_sw(std::span<const u8> data, u32 seed) {

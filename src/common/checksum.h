@@ -23,6 +23,14 @@ u32 crc32c(std::span<const u8> data, u32 seed = 0);
 /// Scalar reference of crc32c (slicing-by-8), same contract.
 u32 crc32c_sw(std::span<const u8> data, u32 seed = 0);
 
+/// CRC32C of the concatenation A|B, from crc_a = crc32c(A),
+/// crc_b = crc32c(B) and len_b = |B|, without reading either buffer:
+/// crc(A|B) = shift_|B|(crc(A)) ^ crc(B), where shift_n appends n zero
+/// bytes. Costs O(log len_b). Lets pieces checksummed on different
+/// threads (the engine's chunks, a frame's count and values) be joined
+/// into the CRC of the whole.
+u32 crc32c_combine(u32 crc_a, u32 crc_b, u64 len_b);
+
 /// Streaming accumulator over multiple buffers.
 class Crc32c {
  public:

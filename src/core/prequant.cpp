@@ -57,6 +57,21 @@ void dequant_scalar(const i32* in, std::size_t n, f64 two_eps, f32* out) {
   }
 }
 
+/// The sequential range scan, continued over in[0, n) from `acc`.
+void min_max_continue(const f32* in, std::size_t n, MinMax& acc) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const f64 v = in[i];
+    if (v < acc.min) acc.min = v;
+    if (v > acc.max) acc.max = v;
+  }
+}
+
+MinMax min_max_scalar(const f32* in, std::size_t n) {
+  MinMax acc{in[0], in[0]};
+  min_max_continue(in + 1, n - 1, acc);
+  return acc;
+}
+
 #if CERESZ_X86_KERNELS
 // Four f64 lanes; the multiply, the +0.5 and the floor stay separate IEEE
 // operations exactly as in the scalar code. "fma" is deliberately absent
@@ -98,11 +113,50 @@ CERESZ_AVX2 void dequant_avx2(const i32* in, std::size_t n, f64 two_eps,
   dequant_scalar(in + i, n - i, two_eps, out + i);
 }
 
+/// Eight lanes per vector, four vectors per step. _mm256_min_ps(x, acc)
+/// is `x < acc ? x : acc`, the scan's own step, so a NaN x leaves a lane
+/// alone and a NaN x_0 (every lane's start) stays. Lanes see their
+/// elements out of order, so when the minimum (maximum) is zero the sign
+/// of the first zero in the input decides it, as in the scan.
+CERESZ_AVX2 MinMax min_max_avx2(const f32* in, std::size_t n) {
+  MinMax acc{in[0], in[0]};
+  std::size_t i = 0;
+  if (n >= 32) {
+    __m256 lo[4], hi[4];
+    for (int k = 0; k < 4; ++k) lo[k] = hi[k] = _mm256_set1_ps(in[0]);
+    for (; i + 32 <= n; i += 32) {
+      for (int k = 0; k < 4; ++k) {
+        const __m256 x = _mm256_loadu_ps(in + i + 8 * k);
+        lo[k] = _mm256_min_ps(x, lo[k]);
+        hi[k] = _mm256_max_ps(x, hi[k]);
+      }
+    }
+    alignas(32) f32 lanes_lo[8];
+    alignas(32) f32 lanes_hi[8];
+    _mm256_store_ps(lanes_lo, _mm256_min_ps(_mm256_min_ps(lo[0], lo[1]),
+                                            _mm256_min_ps(lo[2], lo[3])));
+    _mm256_store_ps(lanes_hi, _mm256_max_ps(_mm256_max_ps(hi[0], hi[1]),
+                                            _mm256_max_ps(hi[2], hi[3])));
+    for (int k = 0; k < 8; ++k) {
+      if (lanes_lo[k] < acc.min) acc.min = lanes_lo[k];
+      if (lanes_hi[k] > acc.max) acc.max = lanes_hi[k];
+    }
+  }
+  min_max_continue(in + i, n - i, acc);
+  if (acc.min == 0.0 || acc.max == 0.0) {
+    const f32 first_zero = *std::find(in, in + n, 0.0f);
+    if (acc.min == 0.0) acc.min = first_zero;
+    if (acc.max == 0.0) acc.max = first_zero;
+  }
+  return acc;
+}
+
 #undef CERESZ_AVX2
 #endif
 
 using PrequantKernel = bool (*)(const f32*, std::size_t, f64, i32*);
 using DequantKernel = void (*)(const i32*, std::size_t, f64, f32*);
+using MinMaxKernel = MinMax (*)(const f32*, std::size_t);
 
 void prequant_with(PrequantKernel kernel, std::span<const f32> input,
                    std::span<i32> output, f64 two_eps) {
@@ -117,6 +171,11 @@ void dequant_with(DequantKernel kernel, std::span<const i32> input,
                   std::span<f32> output, f64 two_eps) {
   CERESZ_CHECK(input.size() == output.size(), "dequant: size mismatch");
   kernel(input.data(), input.size(), two_eps, output.data());
+}
+
+MinMax min_max_with(MinMaxKernel kernel, std::span<const f32> input) {
+  CERESZ_CHECK(!input.empty(), "min_max: empty input");
+  return kernel(input.data(), input.size());
 }
 
 }  // namespace
@@ -158,6 +217,14 @@ void dequant(std::span<const i32> input, std::span<f32> output, f64 two_eps) {
   dequant_with(kernel, input, output, two_eps);
 }
 
+MinMax min_max(std::span<const f32> input) {
+  MinMaxKernel kernel = min_max_scalar;
+#if CERESZ_X86_KERNELS
+  if (cpu::has_avx2()) kernel = min_max_avx2;
+#endif
+  return min_max_with(kernel, input);
+}
+
 namespace scalar {
 
 void prequant(std::span<const f32> input, std::span<i32> output, f64 two_eps) {
@@ -166,6 +233,10 @@ void prequant(std::span<const f32> input, std::span<i32> output, f64 two_eps) {
 
 void dequant(std::span<const i32> input, std::span<f32> output, f64 two_eps) {
   dequant_with(dequant_scalar, input, output, two_eps);
+}
+
+MinMax min_max(std::span<const f32> input) {
+  return min_max_with(min_max_scalar, input);
 }
 
 }  // namespace scalar

@@ -13,7 +13,8 @@
 // keeps the multiply, the +0.5 and the floor as separate IEEE operations
 // (no FMA: the ε argument relies on each rounding), so both paths write
 // identical values and throw the same Error for the same input;
-// tests/test_kernels_dispatch.cpp enforces this.
+// tests/test_kernels_dispatch.cpp enforces this. The REL-bound range
+// pass (min_max) is dispatched the same way.
 #pragma once
 
 #include <span>
@@ -41,10 +42,27 @@ void prequant(std::span<const f32> input, std::span<i32> output, f64 two_eps);
 /// Inverse: e'_i = p_i · 2ε.
 void dequant(std::span<const i32> input, std::span<f32> output, f64 two_eps);
 
+/// Smallest and largest value of a field: the range a value-range
+/// relative (REL) bound scales by.
+struct MinMax {
+  f64 min = 0.0;
+  f64 max = 0.0;
+
+  f64 range() const { return max - min; }
+};
+
+/// The min and max of a non-empty `input`, exactly as the sequential scan
+/// `lo = hi = x_0; lo = x_i < lo ? x_i : lo; hi = x_i > hi ? x_i : hi`
+/// computes them: a NaN first element propagates into both, a later NaN
+/// is ignored, and of the equal values -0 and +0 the first one seen
+/// wins. Runs eight f32 lanes of AVX2 when the CPU has it.
+MinMax min_max(std::span<const f32> input);
+
 /// Scalar reference implementations of the dispatched kernels above.
 namespace scalar {
 void prequant(std::span<const f32> input, std::span<i32> output, f64 two_eps);
 void dequant(std::span<const i32> input, std::span<f32> output, f64 two_eps);
+MinMax min_max(std::span<const f32> input);
 }  // namespace scalar
 
 }  // namespace ceresz::core

@@ -2,7 +2,7 @@
 
 #include "common/byte_io.h"
 #include "common/error.h"
-#include "common/stats.h"
+#include "core/prequant.h"
 
 namespace ceresz::core {
 
@@ -63,7 +63,10 @@ StreamCodec::StreamHeader StreamCodec::parse_header(
 CompressionResult StreamCodec::compress(std::span<const f32> data,
                                         ErrorBound bound) const {
   CompressionResult result;
-  result.eps_abs = bound.resolve(summarize(data).range());
+  // Only a REL bound needs the value range.
+  const bool needs_range =
+      bound.mode == ErrorBound::Mode::kValueRangeRelative && !data.empty();
+  result.eps_abs = bound.resolve(needs_range ? min_max(data).range() : 0.0);
   result.element_count = data.size();
   write_header({data.size(), result.eps_abs}, result.stream);
   block_codec_.compress_blocks(data, result.eps_abs, result.stream,

@@ -8,9 +8,11 @@
 #include <string>
 #include <thread>
 
+#include "common/byte_io.h"
 #include "common/checksum.h"
 #include "common/error.h"
 #include "common/timer.h"
+#include "core/prequant.h"
 #include "engine/chunk_runner.h"
 #include "engine/thread_pool.h"
 #include "io/chunk_container.h"
@@ -137,6 +139,15 @@ bool ParallelEngine::is_chunked_stream(std::span<const u8> stream) {
 
 EngineResult ParallelEngine::compress(std::span<const f32> data,
                                       core::ErrorBound bound) const {
+  std::vector<u8> stream;
+  EngineResult result = compress_into(data, bound, stream);
+  result.stream = std::move(stream);
+  return result;
+}
+
+EngineResult ParallelEngine::compress_into(std::span<const f32> data,
+                                           core::ErrorBound bound,
+                                           std::vector<u8>& out) const {
   const core::CodecConfig& cfg = block_codec_.config();
   const u32 L = cfg.block_size;
   const u64 n = data.size();
@@ -169,20 +180,13 @@ EngineResult ParallelEngine::compress(std::span<const f32> data,
     eps = bound.resolve(0.0);
   } else {
     obs::SpanGuard minmax_span(tracer, "engine.minmax", "engine");
-    std::vector<f64> slice_min(n_chunks), slice_max(n_chunks);
+    std::vector<core::MinMax> slices(n_chunks);
     for (u64 c = 0; c < n_chunks; ++c) {
       pool.submit([&, c] {
         try {
           const u64 begin = c * C;
-          const u64 end = std::min(n, begin + C);
-          f64 lo = data[begin], hi = data[begin];
-          for (u64 i = begin + 1; i < end; ++i) {
-            const f64 v = data[i];
-            if (v < lo) lo = v;
-            if (v > hi) hi = v;
-          }
-          slice_min[c] = lo;
-          slice_max[c] = hi;
+          slices[c] = core::min_max(
+              data.subspan(begin, std::min(n, begin + C) - begin));
         } catch (...) {
           record_error();
         }
@@ -190,10 +194,10 @@ EngineResult ParallelEngine::compress(std::span<const f32> data,
     }
     pool.wait_idle();
     if (first_error) std::rethrow_exception(first_error);
-    f64 lo = slice_min[0], hi = slice_max[0];
+    f64 lo = slices[0].min, hi = slices[0].max;
     for (u64 c = 1; c < n_chunks; ++c) {
-      lo = std::min(lo, slice_min[c]);
-      hi = std::max(hi, slice_max[c]);
+      lo = std::min(lo, slices[c].min);
+      hi = std::max(hi, slices[c].max);
     }
     eps = bound.resolve(hi - lo);
   }
@@ -273,22 +277,24 @@ EngineResult ParallelEngine::compress(std::span<const f32> data,
   EngineResult result;
   result.eps_abs = eps;
   result.element_count = n;
-  result.stream.reserve(offset);
+  result.stream_bytes = offset;
   {
     obs::SpanGuard assemble_span(tracer, "engine.assemble", "engine");
-    io::write_container_prefix(result.stream, header, entries);
-    core::StreamStats stream_stats;
+    const std::size_t start = out.size();
+    out.reserve(start + offset);
+    io::write_container_prefix(out, header, entries);
+    u32 crc = crc32c(std::span<const u8>(out).subspan(start));
     for (const ChunkOutput& o : outs) {
-      result.stream.insert(result.stream.end(), o.bytes.begin(),
-                           o.bytes.end());
-      stream_stats.merge(o.stats);
+      out.insert(out.end(), o.bytes.begin(), o.bytes.end());
+      crc = crc32c_combine(crc, o.crc, o.bytes.size());
+      result.stats.stream.merge(o.stats);
     }
-    result.stats.stream = stream_stats;
+    result.stream_crc32c = crc;
   }
 
   em.chunks.add(n_chunks);
   em.uncompressed_bytes.add(n * sizeof(f32));
-  em.compressed_bytes.add(result.stream.size());
+  em.compressed_bytes.add(result.stream_bytes);
   em.merge(report);
   em.finish(threads, pool, timer.seconds());
 
@@ -302,6 +308,17 @@ EngineResult ParallelEngine::compress(std::span<const f32> data,
 }
 
 DecompressResult ParallelEngine::decompress(std::span<const u8> stream) const {
+  std::vector<f32> values;
+  DecompressResult result = decompress_into(stream, [&](u64 n) {
+    values.resize(n);
+    return std::span<f32>(values);
+  });
+  result.values = std::move(values);
+  return result;
+}
+
+DecompressResult ParallelEngine::decompress_into(std::span<const u8> stream,
+                                                 const DecodeSink& sink) const {
   WallTimer timer;
   obs::Tracer* const tracer = options_.tracer;
   obs::MetricsRegistry reg;
@@ -322,13 +339,18 @@ DecompressResult ParallelEngine::decompress(std::span<const u8> stream) const {
                           static_cast<i64>(n));
 
   DecompressResult result;
-  result.values.assign(n, 0.0f);
-  f32* out = result.values.data();
+  const std::span<f32> values = sink(n);
+  CERESZ_CHECK(values.size() == n,
+               "ParallelEngine: the decode sink returned a span of the wrong "
+               "size");
+  f32* out = values.data();
+  std::vector<u32> chunk_crcs(parsed.entries.size());
 
   const u32 threads = resolved_threads();
   ThreadPool pool(threads, options_.queue_capacity, tracer);
 
-  // Each attempt decodes straight into its disjoint output range. Corrupt
+  // Each attempt decodes straight into its disjoint output range and
+  // checksums what it wrote while the bytes are still in cache. Corrupt
   // data (CRC mismatch, undecodable record) throws PermanentChunkError —
   // retrying cannot fix bytes — while injected/transient faults and
   // timeouts go through the ChunkRunner retry ladder. A chunk that still
@@ -355,10 +377,10 @@ DecompressResult ParallelEngine::decompress(std::span<const u8> stream) const {
               "ParallelEngine: chunk " + std::to_string(c) +
               " failed its CRC32C check (corrupt payload)");
         }
+        const std::span<f32> chunk_out(out + begin, e.element_count);
         try {
           if (!block_codec_.decompress_blocks(
-                  payload, h.eps_abs,
-                  std::span<f32>(out + begin, e.element_count),
+                  payload, h.eps_abs, chunk_out,
                   [&cancel] { return cancel.cancelled(); })) {
             throw ChunkTimeout("chunk " + std::to_string(c) +
                                " exceeded its decompression deadline");
@@ -375,6 +397,7 @@ DecompressResult ParallelEngine::decompress(std::span<const u8> stream) const {
                                     std::to_string(c) +
                                     " is corrupt: " + ex.what());
         }
+        chunk_crcs[c] = crc32c(raw_bytes(chunk_out));
         em.chunk_seconds.observe(static_cast<f64>(now_ns() - attempt_start) *
                                  1e-9);
       });
@@ -386,14 +409,22 @@ DecompressResult ParallelEngine::decompress(std::span<const u8> stream) const {
   for (const ChunkFailure& f : report.failed) {
     if (!options_.lenient) throw Error(f.message);
     const io::ChunkEntry& e = parsed.entries[f.chunk];
-    const u64 begin = f.chunk * h.chunk_elems;
-    std::fill(out + begin, out + begin + e.element_count, 0.0f);
+    const std::span<f32> chunk_out(out + f.chunk * h.chunk_elems,
+                                   e.element_count);
+    std::fill(chunk_out.begin(), chunk_out.end(), 0.0f);
+    chunk_crcs[f.chunk] = crc32c(raw_bytes(chunk_out));
     result.corrupt_chunks.push_back(f.chunk);
     em.quarantined.add(1);
     if (tracer) {
       tracer->instant("chunk.quarantined", "engine", "chunk",
                       static_cast<i64>(f.chunk));
     }
+  }
+
+  for (std::size_t c = 0; c < chunk_crcs.size(); ++c) {
+    result.values_crc32c =
+        crc32c_combine(result.values_crc32c, chunk_crcs[c],
+                       parsed.entries[c].element_count * sizeof(f32));
   }
 
   em.chunks.add(parsed.entries.size());

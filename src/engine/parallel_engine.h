@@ -22,6 +22,7 @@
 // recovered fault; see docs/robustness.md.
 #pragma once
 
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -75,28 +76,42 @@ struct EngineOptions {
   core::CodecConfig codec;
 };
 
-/// Result of ParallelEngine::compress.
+/// Result of ParallelEngine::compress and compress_into.
 struct EngineResult {
-  std::vector<u8> stream;  ///< chunked container (header + table + payloads)
+  /// Chunked container (header + table + payloads); compress() only —
+  /// compress_into() writes it to the caller's buffer instead.
+  std::vector<u8> stream;
+  u64 stream_bytes = 0;   ///< size of the container
+  u32 stream_crc32c = 0;  ///< CRC32C of the container's bytes
   f64 eps_abs = 0.0;
   u64 element_count = 0;
   EngineStats stats;
 
   f64 compression_ratio() const {
-    return stream.empty() ? 0.0
-                          : static_cast<f64>(element_count * sizeof(f32)) /
-                                static_cast<f64>(stream.size());
+    return stream_bytes == 0
+               ? 0.0
+               : static_cast<f64>(element_count * sizeof(f32)) /
+                     static_cast<f64>(stream_bytes);
   }
 };
 
-/// Result of ParallelEngine::decompress.
+/// Result of ParallelEngine::decompress and decompress_into.
 struct DecompressResult {
+  /// Decoded values; decompress() only — decompress_into() decodes into
+  /// the caller's span instead.
   std::vector<f32> values;
+  /// CRC32C of the decoded values' bytes, zero-filled chunks included.
+  u32 values_crc32c = 0;
   /// Chunk indices that failed CRC/decoding and were zero-filled
   /// (non-empty only in lenient mode).
   std::vector<u64> corrupt_chunks;
   EngineStats stats;
 };
+
+/// Where decompress_into() decodes: called once, after the container is
+/// parsed, with its element count; returns a span of exactly that many
+/// values. The span must stay valid until decompress_into() returns.
+using DecodeSink = std::function<std::span<f32>(u64 element_count)>;
 
 class ParallelEngine {
  public:
@@ -112,10 +127,25 @@ class ParallelEngine {
   EngineResult compress(std::span<const f32> data,
                         core::ErrorBound bound) const;
 
+  /// compress(), appending the container to `out` (which may already
+  /// hold bytes, e.g. a frame header) instead of returning it. The
+  /// result's stream_crc32c is joined from the CRC of the header and
+  /// table and the per-chunk CRCs the workers compute, so nobody reads
+  /// the container again to checksum it. On a throw `out` is unchanged.
+  EngineResult compress_into(std::span<const f32> data, core::ErrorBound bound,
+                             std::vector<u8>& out) const;
+
   /// Decompress a chunked container produced by compress(). Throws on
   /// structural corruption (header/table), and on chunk corruption in
   /// strict mode; see EngineOptions::lenient.
   DecompressResult decompress(std::span<const u8> stream) const;
+
+  /// decompress(), decoding straight into the span `sink` returns (see
+  /// DecodeSink); a span of the wrong size throws before any write.
+  /// Each worker checksums the values it wrote, and the result's
+  /// values_crc32c joins those CRCs in chunk order.
+  DecompressResult decompress_into(std::span<const u8> stream,
+                                   const DecodeSink& sink) const;
 
   /// Cheap magic sniff: true if `stream` is a chunked container (vs the
   /// legacy single-stream "CSZ1" format).

@@ -21,7 +21,6 @@ bool is_chunked_stream(std::span<const u8> stream) {
 
 void write_container_prefix(std::vector<u8>& out, const ChunkedHeader& header,
                             std::span<const ChunkEntry> entries) {
-  CERESZ_CHECK(out.empty(), "chunk container: output buffer must be empty");
   CERESZ_CHECK(entries.size() == header.chunk_count,
                "chunk container: entry count does not match header");
   CERESZ_CHECK(header.version <= 0xff && header.codec_header_bytes > 0 &&
@@ -32,6 +31,7 @@ void write_container_prefix(std::vector<u8>& out, const ChunkedHeader& header,
                "chunk container: block size does not fit the u16 header "
                "field");
 
+  const std::size_t start = out.size();
   ByteWriter w(out);
   w.put_tag(kMagic);
   w.put_u8(static_cast<u8>(header.version));
@@ -43,8 +43,8 @@ void write_container_prefix(std::vector<u8>& out, const ChunkedHeader& header,
   w.put_u64(header.chunk_elems);
   w.put_f64(header.eps_abs);
   w.put_u32(0);  // reserved
-  w.put_u32(crc32c(out));
-  CERESZ_CHECK(out.size() == ChunkedHeader::kHeaderBytes,
+  w.put_u32(crc32c(std::span<const u8>(out).subspan(start)));
+  CERESZ_CHECK(out.size() - start == ChunkedHeader::kHeaderBytes,
                "chunk container: header size drift");
 
   const std::size_t table_start = out.size();
@@ -56,7 +56,7 @@ void write_container_prefix(std::vector<u8>& out, const ChunkedHeader& header,
     w.put_u32(0);  // reserved
   }
   w.put_u32(crc32c(std::span<const u8>(out).subspan(table_start)));
-  CERESZ_CHECK(out.size() == header.payload_start(),
+  CERESZ_CHECK(out.size() - start == header.payload_start(),
                "chunk container: table size drift");
 }
 

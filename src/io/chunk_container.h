@@ -71,8 +71,8 @@ struct ChunkedHeader {
 /// (cheap sniff; does not validate anything else).
 bool is_chunked_stream(std::span<const u8> stream);
 
-/// Serialize header + chunk table (with CRCs) into `out`, which must be
-/// empty. Entry offsets must already be absolute and in ascending order.
+/// Append header + chunk table (with CRCs) to `out`. Entry offsets must
+/// already be absolute (from the container's first byte) and ascending.
 void write_container_prefix(std::vector<u8>& out, const ChunkedHeader& header,
                             std::span<const ChunkEntry> entries);
 

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <thread>
 
+#include "common/checksum.h"
 #include "common/timer.h"
 
 namespace ceresz::net {
@@ -85,13 +86,17 @@ void CereszClient::backoff_sleep(u32 retry_index, u64 overall_deadline_ns) {
   }
 }
 
-std::vector<u8> CereszClient::attempt_once(Opcode op, u64 id,
-                                           std::span<const u8> payload,
-                                           TraceTag trace) {
-  CERESZ_CHECK(sock_.valid(), "CereszClient: not connected");
+void CereszClient::begin_request() {
   frame_.clear();
-  append_frame(frame_, op, Status::kOk, id, payload,
-               FrameMeta(tag_, trace, wire_version_));
+  begin_frame(frame_, wire_version_);
+}
+
+std::vector<u8> CereszClient::attempt_once(Opcode op, u64 id, u32 payload_crc,
+                                           TraceTag trace,
+                                           std::vector<f32>* values) {
+  CERESZ_CHECK(sock_.valid(), "CereszClient: not connected");
+  end_frame(frame_, 0, op, Status::kOk, id, payload_crc,
+            FrameMeta(tag_, trace, wire_version_));
   {
     obs::SpanGuard write_span(tracer_, "client.write", "client");
     sock_.write_all(frame_);
@@ -117,13 +122,22 @@ std::vector<u8> CereszClient::attempt_once(Opcode op, u64 id,
   // exceed what the server was willing to build.
   const FrameHeader header = parse_frame_header(
       std::span<const u8>(hdr_bytes.data(), hdr_len), kDefaultMaxPayload);
+  if (values != nullptr && header.status == Status::kOk &&
+      header.opcode == Opcode::kDecompress) {
+    CERESZ_CHECK(header.request_id == id,
+                 "CereszClient: response id does not match the request");
+    obs::SpanGuard read_span(tracer_, "client.read", "client");
+    read_values(header, *values);
+    return {};
+  }
   std::vector<u8> response(static_cast<std::size_t>(header.payload_bytes));
+  u32 crc = 0;
   {
     obs::SpanGuard read_span(tracer_, "client.read", "client");
-    sock_.read_exact(response);
+    crc = sock_.read_exact_crc32c(response);
   }
 
-  if (!payload_crc_ok(header, response)) {
+  if (crc != header.payload_crc) {
     // The framing survived but the bytes did not: nothing else read
     // from this connection deserves trust, so hang it up before the
     // caller sees the typed verdict.
@@ -144,8 +158,35 @@ std::vector<u8> CereszClient::attempt_once(Opcode op, u64 id,
   return response;
 }
 
-std::vector<u8> CereszClient::roundtrip(Opcode op,
-                                        std::span<const u8> payload) {
+void CereszClient::read_values(const FrameHeader& header,
+                               std::vector<f32>& values) {
+  const auto corrupt = [this](const std::string& what) {
+    sock_.close();  // unread or untrusted bytes: this connection is done
+    throw CorruptResponse(what);
+  };
+  std::array<u8, kDecompressCountBytes> head{};
+  const std::span<u8> count_bytes(
+      head.data(), std::min<u64>(head.size(), header.payload_bytes));
+  const u32 count_crc = sock_.read_exact_crc32c(count_bytes);
+  u64 count = 0;
+  try {
+    count = decompress_response_count(count_bytes, header.payload_bytes);
+  } catch (const Error& e) {
+    corrupt(e.what());
+  }
+  values.resize(static_cast<std::size_t>(count));
+  const std::span<u8> bytes(reinterpret_cast<u8*>(values.data()),
+                            values.size() * sizeof(f32));
+  if (sock_.read_exact_crc32c(bytes, count_crc) != header.payload_crc) {
+    corrupt(
+        "CereszClient: response payload failed its CRC check (in-flight "
+        "corruption)");
+  }
+}
+
+std::vector<u8> CereszClient::roundtrip(Opcode op, std::vector<f32>* values) {
+  const u32 payload_crc = crc32c(
+      std::span<const u8>(frame_).subspan(frame_header_bytes(wire_version_)));
   // ONE id for the logical request, reused by every attempt: a retry
   // of a request the server already executed is a visible duplicate
   // (same id, bumped server counters), never an invisible one.
@@ -227,8 +268,8 @@ std::vector<u8> CereszClient::roundtrip(Opcode op,
         obs::SpanGuard connect_span(tracer_, "client.connect", "client");
         establish_connection();
       }
-      return attempt_once(op, id, payload,
-                          TraceTag{trace_id, attempt_span});
+      return attempt_once(op, id, payload_crc,
+                          TraceTag{trace_id, attempt_span}, values);
     } catch (const CorruptResponse&) {
       ++stats_.corrupt_responses;
       bump(reg_, kClientMetricCorruptResponses);
@@ -278,7 +319,8 @@ std::vector<u8> CereszClient::roundtrip(Opcode op,
 
 f64 CereszClient::ping() {
   const u64 start = now_ns();
-  const std::vector<u8> payload = roundtrip(Opcode::kPing, {});
+  begin_request();
+  const std::vector<u8> payload = roundtrip(Opcode::kPing);
   server_state_ = payload.empty()
                       ? "SERVING"
                       : std::string(payload.begin(), payload.end());
@@ -292,10 +334,10 @@ std::vector<u8> CereszClient::compress(std::span<const f32> data,
   req.bound = bound;
   req.deadline_ms = deadline_ms;
   req.data = data;
-  std::vector<u8> payload;
-  payload.reserve(24 + data.size() * sizeof(f32));
-  append_compress_request(payload, req);
-  return roundtrip(Opcode::kCompress, payload);
+  begin_request();
+  frame_.reserve(frame_.size() + 24 + data.size() * sizeof(f32));
+  append_compress_request(frame_, req);
+  return roundtrip(Opcode::kCompress);
 }
 
 std::vector<f32> CereszClient::decompress(std::span<const u8> stream,
@@ -303,17 +345,17 @@ std::vector<f32> CereszClient::decompress(std::span<const u8> stream,
   DecompressRequest req;
   req.deadline_ms = deadline_ms;
   req.stream = stream;
-  std::vector<u8> payload;
-  payload.reserve(16 + stream.size());
-  append_decompress_request(payload, req);
-  const std::vector<u8> response = roundtrip(Opcode::kDecompress, payload);
+  begin_request();
+  frame_.reserve(frame_.size() + 16 + stream.size());
+  append_decompress_request(frame_, req);
   std::vector<f32> values;
-  decode_decompress_response(response, values);
+  roundtrip(Opcode::kDecompress, &values);
   return values;
 }
 
 std::string CereszClient::stats_json() {
-  const std::vector<u8> response = roundtrip(Opcode::kStats, {});
+  begin_request();
+  const std::vector<u8> response = roundtrip(Opcode::kStats);
   return std::string(response.begin(), response.end());
 }
 

@@ -19,7 +19,8 @@
 //     (server shed load; the connection is still good) and kDraining
 //     (server is going away; reconnects).
 //   terminal — CorruptResponse (the response payload failed its frame
-//     CRC: re-requesting cannot be trusted to mask a corrupting path,
+//     CRC, or a DECOMPRESS answer's element count disagrees with its
+//     size: re-requesting cannot be trusted to mask a corrupting path,
 //     the caller must know) and every other ServiceError status
 //     (BAD_REQUEST, MALFORMED, CORRUPT_STREAM, DEADLINE_EXPIRED,
 //     INTERNAL — the request itself is the problem).
@@ -55,7 +56,8 @@ class ServiceError : public Error {
   Status status_;
 };
 
-/// A response payload that failed its frame CRC. Terminal: the bytes on
+/// A response payload that failed its frame CRC, or a DECOMPRESS answer
+/// whose element count disagrees with its size. Terminal: the bytes on
 /// this path cannot be trusted, so the client refuses to guess and the
 /// caller decides (new connection, different server, alarm).
 class CorruptResponse : public Error {
@@ -218,17 +220,31 @@ class CereszClient {
   const ClientStats& stats() const { return stats_; }
 
  private:
-  /// Run one logical request through the retry loop: reconnect when
-  /// disconnected, attempt, classify failures, back off, repeat.
-  std::vector<u8> roundtrip(Opcode op, std::span<const u8> payload);
+  /// Start the request frame in frame_: clear it and reserve the header
+  /// for the wire version. The caller appends the payload after it.
+  void begin_request();
 
-  /// One wire attempt: send the frame, read the response, verify the
-  /// payload CRC, unwrap error frames into ServiceError. `trace` is the
-  /// attempt's wire trace context (parent_span_id = this attempt's span
-  /// id, so the server's span tree joins to exactly this attempt).
-  std::vector<u8> attempt_once(Opcode op, u64 id,
-                               std::span<const u8> payload,
-                               TraceTag trace);
+  /// Run the logical request whose payload begin_request()'s caller
+  /// wrote into frame_ through the retry loop: reconnect when
+  /// disconnected, attempt, classify failures, back off, repeat. The
+  /// payload CRC is computed once; each attempt restamps only the
+  /// header. A non-null `values` takes an OK DECOMPRESS answer in place
+  /// (see read_values); the returned payload is then empty.
+  std::vector<u8> roundtrip(Opcode op, std::vector<f32>* values = nullptr);
+
+  /// One wire attempt: stamp frame_'s header, send it, read the
+  /// response, verify the payload CRC, unwrap error frames into
+  /// ServiceError. `trace` is the attempt's wire trace context
+  /// (parent_span_id = this attempt's span id, so the server's span tree
+  /// joins to exactly this attempt).
+  std::vector<u8> attempt_once(Opcode op, u64 id, u32 payload_crc,
+                               TraceTag trace, std::vector<f32>* values);
+
+  /// Read an OK DECOMPRESS payload straight into `values`: the count is
+  /// checked against payload_bytes before anything is allocated, and
+  /// the CRC is chained over the count and the values. A count that
+  /// disagrees with the size, or a CRC mismatch, is a CorruptResponse.
+  void read_values(const FrameHeader& header, std::vector<f32>& values);
 
   /// (Re-)establish the connection per the policy's timeouts.
   void establish_connection();
@@ -250,7 +266,7 @@ class CereszClient {
   u16 port_ = 0;
   bool ever_connected_ = false;
   std::string server_state_;
-  std::vector<u8> frame_;  ///< reused send buffer
+  std::vector<u8> frame_;  ///< the request frame, built once per request
   u64 next_request_id_ = 1;
   u64 last_trace_id_ = 0;
 };

@@ -1,8 +1,11 @@
 #include "net/protocol.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
 
 #include "common/byte_io.h"
 #include "common/checksum.h"
@@ -19,10 +22,12 @@ constexpr std::string_view kMagic = "CSNP";
 /// service allocates provides (vector data + a 4-multiple offset). A
 /// misaligned view can only come from a hand-built hostile frame slice,
 /// so it is rejected like any other malformed payload.
-std::span<const f32> f32_view(const u8* p, u64 count) {
+template <class Byte>
+auto f32_view(Byte* p, u64 count) {
+  using F = std::conditional_t<std::is_const_v<Byte>, const f32, f32>;
   CERESZ_CHECK(reinterpret_cast<std::uintptr_t>(p) % alignof(f32) == 0,
                "net: f32 payload is misaligned");
-  return {reinterpret_cast<const f32*>(p), static_cast<std::size_t>(count)};
+  return std::span<F>(reinterpret_cast<F*>(p), static_cast<std::size_t>(count));
 }
 
 }  // namespace
@@ -52,25 +57,44 @@ const char* status_name(Status st) {
   return "UNKNOWN";
 }
 
-void append_frame_header(std::vector<u8>& out, const FrameHeader& header) {
-  CERESZ_CHECK(header.version == kProtocolVersion ||
-                   header.version == kProtocolVersionV3,
+namespace {
+
+void check_version(u8 version) {
+  CERESZ_CHECK(version == kProtocolVersion || version == kProtocolVersionV3,
                "net: cannot build a frame with an unknown version");
-  ByteWriter w(out);
-  w.put_tag(kMagic);
-  w.put_u8(header.version);
-  w.put_u8(static_cast<u8>(header.opcode));
-  w.put_u16(static_cast<u16>(header.status));
-  w.put_u64(header.request_id);
-  w.put_u64(header.payload_bytes);
-  w.put_u32(header.payload_crc);
-  w.put_u32(header.tenant.tenant_id);
-  w.put_u8(header.tenant.priority);
-  w.put_zeros(3);  // reserved
+}
+
+/// The one header writer: encodes `header` over the
+/// frame_header_bytes(header.version) bytes at `dst`.
+void write_frame_header(u8* dst, const FrameHeader& header) {
+  check_version(header.version);
+  const auto put = [&dst](std::span<const u8> field) {
+    std::memcpy(dst, field.data(), field.size());
+    dst += field.size();
+  };
+  put({reinterpret_cast<const u8*>(kMagic.data()), kMagic.size()});
+  put(le_bytes(header.version));
+  put(le_bytes(static_cast<u8>(header.opcode)));
+  put(le_bytes(static_cast<u16>(header.status)));
+  put(le_bytes(header.request_id));
+  put(le_bytes(header.payload_bytes));
+  put(le_bytes(header.payload_crc));
+  put(le_bytes(header.tenant.tenant_id));
+  put(le_bytes(header.tenant.priority));
+  put(std::array<u8, 3>{});  // reserved
   if (header.version == kProtocolVersion) {
-    w.put_u64(header.trace.trace_id);
-    w.put_u64(header.trace.parent_span_id);
+    put(le_bytes(header.trace.trace_id));
+    put(le_bytes(header.trace.parent_span_id));
   }
+}
+
+}  // namespace
+
+void append_frame_header(std::vector<u8>& out, const FrameHeader& header) {
+  check_version(header.version);
+  const std::size_t at = out.size();
+  out.resize(at + frame_header_bytes(header.version));
+  write_frame_header(out.data() + at, header);
 }
 
 FrameHeader parse_frame_header(std::span<const u8> bytes, u64 max_payload) {
@@ -179,14 +203,40 @@ void append_decompress_response(std::vector<u8>& out,
 
 void decode_decompress_response(std::span<const u8> payload,
                                 std::vector<f32>& values) {
-  ByteReader r(payload, "net: DECOMPRESS response");
+  const u64 count = decompress_response_count(
+      payload.first(std::min(payload.size(), kDecompressCountBytes)),
+      payload.size());
+  values.resize(static_cast<std::size_t>(count));
+  if (count > 0) {
+    std::memcpy(values.data(), payload.data() + kDecompressCountBytes,
+                count * sizeof(f32));
+  }
+}
+
+std::span<f32> append_decompress_response_values(std::vector<u8>& out,
+                                                 u64 count) {
+  ByteWriter(out).put_u64(count);
+  const std::size_t at = out.size();
+  out.resize(at + count * sizeof(f32));
+  return f32_view(out.data() + at, count);
+}
+
+u64 decompress_response_count(std::span<const u8> count_bytes,
+                              u64 payload_bytes) {
+  ByteReader r(count_bytes, "net: DECOMPRESS response");
   const u64 count = r.get_u64();
-  CERESZ_CHECK(r.remaining() % sizeof(f32) == 0 &&
-                   count == r.remaining() / sizeof(f32),
+  CERESZ_CHECK(payload_bytes >= kDecompressCountBytes &&
+                   (payload_bytes - kDecompressCountBytes) % sizeof(f32) == 0 &&
+                   count == (payload_bytes - kDecompressCountBytes) /
+                                sizeof(f32),
                "net: DECOMPRESS response element count disagrees with its "
                "size");
-  values.resize(static_cast<std::size_t>(count));
-  if (count > 0) std::memcpy(values.data(), r.rest().data(), r.remaining());
+  return count;
+}
+
+u32 decompress_response_crc(u64 count, u32 values_crc) {
+  return crc32c_combine(crc32c(le_bytes(count)), values_crc,
+                        count * sizeof(f32));
 }
 
 // --- whole frames -----------------------------------------------------------
@@ -195,49 +245,54 @@ FrameMeta echo_meta(const FrameHeader& request) {
   return FrameMeta(request.tenant, request.trace, request.version);
 }
 
-namespace {
+std::size_t begin_frame(std::vector<u8>& out, u8 version) {
+  check_version(version);
+  const std::size_t start = out.size();
+  out.resize(start + frame_header_bytes(version));
+  return start;
+}
 
-/// Reserve room for the whole frame in `out` and append its header.
-void append_header_for(std::vector<u8>& out, Opcode op, Status status,
-                       u64 request_id, u64 payload_bytes, u32 payload_crc,
-                       const FrameMeta& meta) {
+void end_frame(std::vector<u8>& out, std::size_t start, Opcode op,
+               Status status, u64 request_id, u32 payload_crc,
+               const FrameMeta& meta) {
+  const std::size_t header_bytes = frame_header_bytes(meta.version);
+  CERESZ_CHECK(start <= out.size() && out.size() - start >= header_bytes,
+               "net: end_frame without the header begin_frame reserved");
   FrameHeader h;
   h.version = meta.version;
   h.opcode = op;
   h.status = status;
   h.request_id = request_id;
-  h.payload_bytes = payload_bytes;
+  h.payload_bytes = out.size() - start - header_bytes;
   h.payload_crc = payload_crc;
   h.tenant = meta.tenant;
   h.trace = meta.trace;
-  out.reserve(out.size() + frame_header_bytes(meta.version) + payload_bytes);
-  append_frame_header(out, h);
+  write_frame_header(out.data() + start, h);
 }
-
-}  // namespace
 
 void append_frame(std::vector<u8>& out, Opcode op, Status status,
                   u64 request_id, std::span<const u8> payload,
                   FrameMeta meta) {
-  append_header_for(out, op, status, request_id, payload.size(),
-                    payload.empty() ? 0 : crc32c(payload), meta);
+  out.reserve(out.size() + frame_header_bytes(meta.version) + payload.size());
+  const std::size_t start = begin_frame(out, meta.version);
   out.insert(out.end(), payload.begin(), payload.end());
+  end_frame(out, start, op, status, request_id, crc32c(payload), meta);
 }
 
 void append_decompress_response_frame(std::vector<u8>& out, u64 request_id,
                                       std::span<const f32> values,
                                       FrameMeta meta) {
-  const auto count = le_bytes(u64{values.size()});
-  const std::span<const u8> bytes = raw_bytes(values);
-  append_header_for(out, Opcode::kDecompress, Status::kOk, request_id,
-                    count.size() + bytes.size(),
-                    crc32c(bytes, crc32c(count)), meta);
-  out.insert(out.end(), count.begin(), count.end());
-  out.insert(out.end(), bytes.begin(), bytes.end());
+  const std::size_t payload_bytes =
+      kDecompressCountBytes + values.size() * sizeof(f32);
+  out.reserve(out.size() + frame_header_bytes(meta.version) + payload_bytes);
+  const std::size_t start = begin_frame(out, meta.version);
+  append_decompress_response(out, values);
+  end_frame(out, start, Opcode::kDecompress, Status::kOk, request_id,
+            crc32c(std::span<const u8>(out).last(payload_bytes)), meta);
 }
 
 bool payload_crc_ok(const FrameHeader& header, std::span<const u8> payload) {
-  return header.payload_crc == (payload.empty() ? 0 : crc32c(payload));
+  return header.payload_crc == crc32c(payload);  // crc32c({}) == 0
 }
 
 void append_error_frame(std::vector<u8>& out, Opcode op, Status status,

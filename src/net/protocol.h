@@ -225,6 +225,8 @@ DecompressRequest decode_decompress_request(std::span<const u8> payload);
 // payload: u64 element_count
 //          f32 values[element_count]
 
+inline constexpr std::size_t kDecompressCountBytes = sizeof(u64);
+
 void append_decompress_response(std::vector<u8>& out,
                                 std::span<const f32> values);
 
@@ -232,6 +234,25 @@ void append_decompress_response(std::vector<u8>& out,
 /// ceresz::Error on size mismatch.
 void decode_decompress_response(std::span<const u8> payload,
                                 std::vector<f32>& values);
+
+/// Append the element count of a DECOMPRESS response and room for
+/// `count` values to `out`; returns the room, for the values to be
+/// decoded into in place. The room must be 4-byte aligned, which a
+/// frame begun at the start of a vector provides.
+std::span<f32> append_decompress_response_values(std::vector<u8>& out,
+                                                 u64 count);
+
+/// The element count of a DECOMPRESS response of `payload_bytes` bytes
+/// that starts with `count_bytes` (its first kDecompressCountBytes bytes,
+/// or all of a shorter payload). Checked against the size by division
+/// before anything count-sized exists, so no count wraps past it; throws
+/// ceresz::Error when they disagree.
+u64 decompress_response_count(std::span<const u8> count_bytes,
+                              u64 payload_bytes);
+
+/// CRC32C of a DECOMPRESS response payload of `count` values whose own
+/// bytes have CRC32C `values_crc`, without reading the values again.
+u32 decompress_response_crc(u64 count, u32 values_crc);
 
 // --- whole frames -----------------------------------------------------------
 
@@ -255,6 +276,23 @@ struct FrameMeta {
 /// same wire version — a v3 client gets a byte-identical v3 response.
 FrameMeta echo_meta(const FrameHeader& request);
 
+/// Start a frame at the end of `out`: append the header of a `version`
+/// frame as zero bytes, to be filled in by end_frame once the payload is
+/// known. Returns the frame's offset in `out`. The payload goes straight
+/// after the header: a caller encodes into `out` itself, so a multi-MB
+/// payload is written once, where it is sent from.
+std::size_t begin_frame(std::vector<u8>& out, u8 version);
+
+/// Finish the frame begin_frame started at `start`: write its header in
+/// place. The payload is every byte after the header up to out.size();
+/// `payload_crc` must be its CRC32C (callers that produced the payload
+/// in pieces join the pieces' CRCs with crc32c_combine). meta.version
+/// must be the version given to begin_frame. Can be called again to
+/// restamp the header (a client retry changes only the trace fields).
+void end_frame(std::vector<u8>& out, std::size_t start, Opcode op,
+               Status status, u64 request_id, u32 payload_crc,
+               const FrameMeta& meta);
+
 /// Append a complete frame (header + payload) to `out`; the header's
 /// payload_crc is computed from `payload`, so frames built through this
 /// function always verify. `meta` stamps the tenant/trace fields and
@@ -264,15 +302,17 @@ void append_frame(std::vector<u8>& out, Opcode op, Status status,
                   FrameMeta meta = {});
 
 /// Append a complete OK DECOMPRESS response frame carrying `values`,
-/// writing the payload straight into `out` with its CRC chained over the
-/// count and the values. Byte-identical to append_frame over a payload
-/// built by append_decompress_response, without that payload copy.
+/// writing the payload straight into `out`. Byte-identical to
+/// append_frame over a payload built by append_decompress_response,
+/// without that payload copy. The server decodes into its frame instead
+/// (append_decompress_response_values between begin_frame and
+/// end_frame); this is the byte reference it is tested against.
 void append_decompress_response_frame(std::vector<u8>& out, u64 request_id,
                                       std::span<const f32> values,
                                       FrameMeta meta = {});
 
-/// Does `payload` match the CRC its header declared? Called by both
-/// peers after the payload read, before any decoding.
+/// Does `payload` match the CRC its header declared? (The server and
+/// client check while reading instead, with Socket::read_exact_crc32c.)
 bool payload_crc_ok(const FrameHeader& header, std::span<const u8> payload);
 
 /// Append a complete error frame whose payload is `message`.

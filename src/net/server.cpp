@@ -273,8 +273,9 @@ struct ServiceServer::Impl {
 
       PooledBuffer payload = pool_.acquire();
       payload->resize(static_cast<std::size_t>(header.payload_bytes));
+      u32 payload_crc = 0;
       try {
-        conn->sock.read_exact(*payload);
+        payload_crc = conn->sock.read_exact_crc32c(*payload);
       } catch (const NetTimeout&) {
         m_.io_timeouts.add(1);  // payload stalled mid-frame
         break;
@@ -284,7 +285,7 @@ struct ServiceServer::Impl {
       m_.requests.add(1);
       m_.request_bytes.add(hdr_len + header.payload_bytes);
 
-      if (!payload_crc_ok(header, *payload)) {
+      if (payload_crc != header.payload_crc) {
         // The frame arrived whole but its bytes do not match the CRC the
         // sender computed: in-flight corruption. Framing is intact, so
         // the connection survives — reject just this request, loudly.
@@ -572,13 +573,17 @@ struct ServiceServer::Impl {
           finish("DEADLINE_EXPIRED");
           return;
         }
+        // The container is compressed straight into the pooled response
+        // frame, after a header that is written last.
         const engine::ParallelEngine eng(engine_options(deadline_ns));
+        PooledBuffer out = pool_.acquire();
+        begin_frame(*out, meta.version);
         engine::EngineResult result;
         {
           const obs::SpanGuard engine_span(options_.tracer, "server.engine",
                                            "server", "request_id",
                                            static_cast<i64>(id));
-          result = eng.compress(creq.data, creq.bound);
+          result = eng.compress_into(creq.data, creq.bound, *out);
         }
         if (deadline_ns != 0 && now_ns() >= deadline_ns) {
           m_.deadline_expired.add(1);
@@ -587,12 +592,11 @@ struct ServiceServer::Impl {
           finish("DEADLINE_EXPIRED");
           return;
         }
-        PooledBuffer out = pool_.acquire();
         {
           const obs::SpanGuard encode_span(options_.tracer, "server.encode",
                                            "server", "request_id",
                                            static_cast<i64>(id));
-          append_frame(*out, op, Status::kOk, id, result.stream, meta);
+          end_frame(*out, 0, op, Status::kOk, id, result.stream_crc32c, meta);
         }
         const obs::SpanGuard write_span(options_.tracer, "server.write",
                                         "server", "request_id",
@@ -615,13 +619,22 @@ struct ServiceServer::Impl {
           finish("DEADLINE_EXPIRED");
           return;
         }
+        // The values are decoded straight into the pooled response frame,
+        // after the header and the element count; the frame CRC joins the
+        // count's CRC with the one the engine's workers computed.
         const engine::ParallelEngine eng(engine_options(deadline_ns));
+        PooledBuffer out = pool_.acquire();
+        begin_frame(*out, meta.version);
+        u64 count = 0;
         engine::DecompressResult result;
         {
           const obs::SpanGuard engine_span(options_.tracer, "server.engine",
                                            "server", "request_id",
                                            static_cast<i64>(id));
-          result = eng.decompress(dreq.stream);
+          result = eng.decompress_into(dreq.stream, [&](u64 n) {
+            count = n;
+            return append_decompress_response_values(*out, n);
+          });
         }
         if (deadline_ns != 0 && now_ns() >= deadline_ns) {
           m_.deadline_expired.add(1);
@@ -630,12 +643,13 @@ struct ServiceServer::Impl {
           finish("DEADLINE_EXPIRED");
           return;
         }
-        PooledBuffer out = pool_.acquire();
         {
           const obs::SpanGuard encode_span(options_.tracer, "server.encode",
                                            "server", "request_id",
                                            static_cast<i64>(id));
-          append_decompress_response_frame(*out, id, result.values, meta);
+          end_frame(*out, 0, op, Status::kOk, id,
+                    decompress_response_crc(count, result.values_crc32c),
+                    meta);
         }
         const obs::SpanGuard write_span(options_.tracer, "server.write",
                                         "server", "request_id",

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <string>
 
+#include "common/checksum.h"
 #include "common/error.h"
 #include "common/timer.h"
 
@@ -134,6 +135,18 @@ void Socket::read_exact(std::span<u8> out) const {
 }
 
 bool Socket::read_exact_or_eof(std::span<u8> out) const {
+  return read_into(out, nullptr);
+}
+
+u32 Socket::read_exact_crc32c(std::span<u8> out, u32 seed) const {
+  u32 crc = seed;
+  if (!read_into(out, &crc)) {
+    throw Error("Socket::read_exact: connection closed by peer");
+  }
+  return crc;
+}
+
+bool Socket::read_into(std::span<u8> out, u32* crc) const {
   CERESZ_CHECK(fd_ >= 0, "Socket::read_exact: socket is closed");
   const u64 deadline = io_deadline(io_timeout_ms_);
   std::size_t done = 0;
@@ -151,6 +164,9 @@ bool Socket::read_exact_or_eof(std::span<u8> out) const {
     if (n == 0) {
       if (done == 0) return false;  // clean EOF between frames
       throw Error("Socket::read_exact: connection truncated mid-frame");
+    }
+    if (crc != nullptr) {
+      *crc = crc32c(out.subspan(done, static_cast<std::size_t>(n)), *crc);
     }
     done += static_cast<std::size_t>(n);
   }

@@ -107,12 +107,22 @@ class Socket {
   /// between frames). EOF mid-buffer still throws: a truncated frame.
   bool read_exact_or_eof(std::span<u8> out) const;
 
+  /// read_exact that also returns the CRC32C of what it read, chained
+  /// from `seed` (see crc32c). Each received piece is checksummed as
+  /// it lands, while it is still in cache, instead of in a second pass
+  /// over a multi-MB payload.
+  u32 read_exact_crc32c(std::span<u8> out, u32 seed = 0) const;
+
   /// One recv(): up to out.size() bytes, whatever is available. Returns
   /// 0 on EOF, throws on error. The relay primitive — it must see bytes
   /// as they arrive, not wait for a full buffer.
   std::size_t read_some(std::span<u8> out) const;
 
  private:
+  /// The receive loop behind the read_* calls; `crc` (nullable) is
+  /// updated over every piece received.
+  bool read_into(std::span<u8> out, u32* crc) const;
+
   int fd_ = -1;
   u32 io_timeout_ms_ = 0;
 };

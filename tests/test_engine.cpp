@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cstring>
 #include <string>
 #include <thread>
 
@@ -168,6 +170,117 @@ TEST(ParallelEngine, LenientModeZeroFillsOnlyTheCorruptChunk) {
           << "i=" << i;
     }
   }
+}
+
+// --- writing into caller memory ---------------------------------------------
+
+std::span<const u8> bytes_of(std::span<const f32> values) {
+  return {reinterpret_cast<const u8*>(values.data()),
+          values.size() * sizeof(f32)};
+}
+
+/// A buffer of `n` values whose every byte is 0xFF (a NaN pattern), so a
+/// value the engine did not write stands out.
+std::vector<f32> poisoned(std::size_t n) {
+  std::vector<f32> values(n);
+  std::memset(values.data(), 0xff, n * sizeof(f32));
+  return values;
+}
+
+TEST(ParallelEngine, DecompressIntoMatchesDecompress) {
+  const auto data = test::smooth_signal(10000);
+  for (u32 threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const ParallelEngine eng(small_chunks(threads, 1024));
+    const auto result = eng.compress(data, core::ErrorBound::relative(1e-3));
+    const DecompressResult reference = eng.decompress(result.stream);
+
+    std::vector<f32> buffer = poisoned(data.size() + 3);
+    u64 asked = 0;
+    const DecompressResult into =
+        eng.decompress_into(result.stream, [&](u64 n) {
+          asked = n;
+          return std::span<f32>(buffer.data() + 1, n);
+        });
+    EXPECT_EQ(asked, data.size());
+    EXPECT_TRUE(into.values.empty());
+    const std::span<const f32> got(buffer.data() + 1, data.size());
+    EXPECT_TRUE(std::equal(bytes_of(got).begin(), bytes_of(got).end(),
+                           bytes_of(reference.values).begin()));
+    // The neighbours of the span are untouched.
+    EXPECT_EQ(std::bit_cast<u32>(buffer.front()), 0xffffffffu);
+    EXPECT_EQ(std::bit_cast<u32>(buffer.back()), 0xffffffffu);
+    EXPECT_EQ(into.values_crc32c, crc32c(bytes_of(got)));
+    EXPECT_EQ(reference.values_crc32c, into.values_crc32c);
+  }
+}
+
+TEST(ParallelEngine, DecompressIntoLenientCrcCoversZeroFilledChunk) {
+  const auto data = test::smooth_signal(10000);
+  const u64 chunk_elems = 1024;
+  const ParallelEngine strict(small_chunks(4, chunk_elems));
+  auto result = strict.compress(data, core::ErrorBound::absolute(1e-3));
+  corrupt_chunk(result.stream, 2);
+
+  const ParallelEngine lenient(small_chunks(4, chunk_elems, true));
+  std::vector<f32> buffer = poisoned(data.size());
+  const DecompressResult back = lenient.decompress_into(
+      result.stream, [&](u64 n) { return std::span<f32>(buffer.data(), n); });
+  ASSERT_EQ(back.corrupt_chunks, (std::vector<u64>{2}));
+  for (u64 i = 2 * chunk_elems; i < 3 * chunk_elems; ++i) {
+    ASSERT_EQ(std::bit_cast<u32>(buffer[i]), 0u) << "i=" << i;
+  }
+  EXPECT_EQ(back.values_crc32c, crc32c(bytes_of(buffer)));
+}
+
+TEST(ParallelEngine, DecompressIntoRejectsWrongSizedSinkBeforeWriting) {
+  const auto data = test::smooth_signal(5000);
+  const ParallelEngine eng(small_chunks(2, 1024));
+  const auto result = eng.compress(data, core::ErrorBound::absolute(1e-3));
+  for (std::size_t size : {data.size() - 1, data.size() + 1, std::size_t{0}}) {
+    std::vector<f32> buffer = poisoned(data.size() + 1);
+    EXPECT_THROW(eng.decompress_into(result.stream,
+                                     [&](u64) {
+                                       return std::span<f32>(buffer.data(),
+                                                             size);
+                                     }),
+                 Error)
+        << "size=" << size;
+    EXPECT_TRUE(std::all_of(buffer.begin(), buffer.end(), [](f32 v) {
+      return std::bit_cast<u32>(v) == 0xffffffffu;
+    })) << "size=" << size;
+  }
+}
+
+TEST(ParallelEngine, CompressIntoAppendsTheSameContainerAndItsCrc) {
+  const auto data = test::smooth_signal(10000);
+  for (u32 threads : {1u, 4u}) {
+    const ParallelEngine eng(small_chunks(threads, 1024));
+    for (const auto bound : {core::ErrorBound::relative(1e-3),
+                             core::ErrorBound::absolute(1e-2)}) {
+      const EngineResult reference = eng.compress(data, bound);
+      EXPECT_EQ(reference.stream_bytes, reference.stream.size());
+      EXPECT_EQ(reference.stream_crc32c, crc32c(reference.stream));
+
+      std::vector<u8> out = {1, 2, 3};  // e.g. a frame header
+      const EngineResult into = eng.compress_into(data, bound, out);
+      EXPECT_TRUE(into.stream.empty());
+      ASSERT_EQ(out.size(), 3 + reference.stream.size());
+      EXPECT_TRUE(std::equal(reference.stream.begin(), reference.stream.end(),
+                             out.begin() + 3));
+      EXPECT_EQ(into.stream_bytes, reference.stream.size());
+      EXPECT_EQ(into.stream_crc32c, reference.stream_crc32c);
+      EXPECT_DOUBLE_EQ(into.compression_ratio(),
+                       reference.compression_ratio());
+    }
+  }
+  // An empty input is a bare header and chunk table.
+  const ParallelEngine eng(small_chunks(2));
+  std::vector<u8> out;
+  const EngineResult empty =
+      eng.compress_into({}, core::ErrorBound::absolute(1e-3), out);
+  EXPECT_EQ(empty.stream_bytes, out.size());
+  EXPECT_EQ(empty.stream_crc32c, crc32c(out));
 }
 
 TEST(ParallelEngine, EveryChunkIsIndividuallyProtected) {

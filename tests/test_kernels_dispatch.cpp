@@ -1,7 +1,8 @@
 // Differential test of the runtime-dispatched kernels against their scalar
 // references: for every input, the dispatched path (AVX2 / SSE4.2 when the
 // CPU has them) must write the same bytes as core::scalar::* and
-// crc32c_sw, or throw the same Error. On a CPU without those extensions
+// crc32c_sw (min_max: the same f64 bit patterns), or throw the same
+// Error. On a CPU without those extensions
 // both sides run the scalar code and the test passes trivially.
 //
 //   ctest -R test_kernels_dispatch --output-on-failure
@@ -276,6 +277,108 @@ TEST(KernelDispatch, DequantExtremesMatchScalar) {
     scalar::dequant(q, x_s, two_eps);
     ASSERT_EQ(bits_of(x_d), bits_of(x_s)) << "two_eps=" << two_eps;
   }
+}
+
+// --- REL range pass ------------------------------------------------------
+
+/// min_max on both paths: the same f64 bit patterns, so NaN and the
+/// sign of zero count.
+void expect_min_max_matches(std::span<const f32> in) {
+  const MinMax d = min_max(in);
+  const MinMax s = scalar::min_max(in);
+  ASSERT_EQ(std::bit_cast<u64>(d.min), std::bit_cast<u64>(s.min));
+  ASSERT_EQ(std::bit_cast<u64>(d.max), std::bit_cast<u64>(s.max));
+}
+
+TEST(KernelDispatch, MinMaxMatchesScalarAtEveryLength) {
+  Rng rng(kSeed + 6);
+  // Every tail length around the 32-element vector step.
+  for (std::size_t n = 1; n <= 200; ++n) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    std::vector<f32> in(n);
+    for (auto& x : in) x = static_cast<f32>(rng.uniform(-1e3, 1e3));
+    expect_min_max_matches(in);
+    // Extremes in the first element, the vector body and the tail.
+    for (std::size_t pos : {std::size_t{0}, n / 2, n - 1}) {
+      auto v = in;
+      v[pos] = -5e3f;
+      expect_min_max_matches(v);
+      v[pos] = 5e3f;
+      expect_min_max_matches(v);
+    }
+  }
+  std::vector<f32> big(65536 + 13);
+  for (auto& x : big) x = static_cast<f32>(rng.next_gaussian() * 10.0);
+  expect_min_max_matches(big);
+}
+
+TEST(KernelDispatch, MinMaxSpecialValuesMatchScalar) {
+  const f32 inf = std::numeric_limits<f32>::infinity();
+  const f32 nan = std::numeric_limits<f32>::quiet_NaN();
+  for (std::size_t n : {1u, 7u, 32u, 33u, 64u, 100u, 257u}) {
+    for (std::size_t pos : {std::size_t{0}, std::size_t{1}, n / 2, n - 1}) {
+      if (pos >= n) continue;
+      for (f32 special : {nan, -nan, inf, -inf, FLT_MAX, -FLT_MAX}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " pos=" +
+                     std::to_string(pos) + " value=" +
+                     std::to_string(special));
+        std::vector<f32> in(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          in[i] = static_cast<f32>(i % 5) - 2.0f;
+        }
+        in[pos] = special;
+        expect_min_max_matches(in);
+      }
+    }
+  }
+  // A NaN first element propagates into both ends; a later one is
+  // ignored.
+  std::vector<f32> in(100, 1.0f);
+  in[0] = nan;
+  in[50] = -3.0f;
+  EXPECT_TRUE(std::isnan(min_max(in).min) && std::isnan(min_max(in).max));
+  in[0] = 2.0f;
+  in[70] = nan;
+  EXPECT_EQ(min_max(in).min, -3.0);
+  EXPECT_EQ(min_max(in).max, 2.0);
+}
+
+TEST(KernelDispatch, MinMaxFirstSeenSignedZeroWins) {
+  // Fields whose minimum (or maximum) is zero, with both zeros present
+  // in every order and position: the scan keeps the first one it sees,
+  // and lanes that see them out of order must not change that.
+  for (std::size_t n : {2u, 31u, 32u, 64u, 65u, 200u}) {
+    for (std::size_t a = 0; a < n; a += 7) {
+      for (std::size_t b = 0; b < n; b += 5) {
+        if (a == b) continue;
+        for (f32 first : {0.0f, -0.0f}) {
+          SCOPED_TRACE("n=" + std::to_string(n) + " a=" + std::to_string(a) +
+                       " b=" + std::to_string(b));
+          std::vector<f32> pos(n, 1.0f), neg(n, -1.0f);
+          pos[a] = neg[a] = first;
+          pos[b] = neg[b] = -first;
+          expect_min_max_matches(pos);
+          expect_min_max_matches(neg);
+          const f32 seen = a < b ? first : -first;
+          EXPECT_EQ(std::signbit(min_max(pos).min), std::signbit(seen));
+          EXPECT_EQ(std::signbit(min_max(neg).max), std::signbit(seen));
+        }
+      }
+    }
+  }
+  // All zeros: both ends are the first element.
+  std::vector<f32> zeros(96, 0.0f);
+  zeros[0] = -0.0f;
+  expect_min_max_matches(zeros);
+  EXPECT_TRUE(std::signbit(min_max(zeros).min));
+  EXPECT_TRUE(std::signbit(min_max(zeros).max));
+}
+
+TEST(KernelDispatch, MinMaxRejectsEmptyInputOnBothPaths) {
+  const std::vector<f32> empty;
+  EXPECT_EQ(outcome([&] { min_max(empty); }),
+            outcome([&] { scalar::min_max(empty); }));
+  EXPECT_NE(outcome([&] { min_max(empty); }), "ok");
 }
 
 // --- CRC32C ---------------------------------------------------------------

@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstring>
+#include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/byte_io.h"
 #include "common/rng.h"
 #include "common/timer.h"
 #include "engine/parallel_engine.h"
@@ -583,6 +587,251 @@ TEST(Service, RestartOnTheSamePortWorks) {
   again.connect("127.0.0.1", second.port());
   EXPECT_FALSE(again.compress(data, bound).empty());
   second.stop();
+}
+
+// --- the client's wire bytes, seen by a raw socket ---------------------------
+
+/// One frame as it crossed the wire: its parsed header and every byte.
+struct WireFrame {
+  FrameHeader header;
+  std::vector<u8> bytes;
+
+  std::span<const u8> payload() const {
+    return std::span<const u8>(bytes).subspan(
+        frame_header_bytes(header.version));
+  }
+};
+
+WireFrame read_wire_frame(const Socket& sock) {
+  std::array<u8, kFrameHeaderBytesV4> hdr{};
+  sock.read_exact(std::span<u8>(hdr.data(), kFrameHeaderBytes));
+  const std::size_t len = frame_header_bytes(hdr[4]);
+  sock.read_exact(
+      std::span<u8>(hdr.data() + kFrameHeaderBytes, len - kFrameHeaderBytes));
+  WireFrame f;
+  f.header = parse_frame_header(std::span<const u8>(hdr.data(), len),
+                                kDefaultMaxPayload);
+  f.bytes.assign(hdr.begin(), hdr.begin() + len);
+  f.bytes.resize(len + f.header.payload_bytes);
+  sock.read_exact(std::span<u8>(f.bytes).subspan(len));
+  return f;
+}
+
+/// A stand-in server on a raw TcpListener: for each of `connections`
+/// accepted connections it runs `serve`, which reads request frames and
+/// writes whatever answers the test wants. Failures inside the thread,
+/// and connections that never came, are reported by join().
+class RawServer {
+ public:
+  using Serve = std::function<void(const Socket&)>;
+
+  RawServer(u32 connections, Serve serve) : listener_(0) {
+    thread_ = std::thread([this, connections, serve = std::move(serve)] {
+      try {
+        for (u32 i = 0; i < connections; ++i) {
+          const Socket sock = listener_.accept_connection();
+          if (!sock.valid()) {
+            error_ = "only " + std::to_string(i) + " of " +
+                     std::to_string(connections) + " connections came";
+            return;
+          }
+          serve(sock);
+        }
+      } catch (const std::exception& e) {
+        error_ = e.what();
+      }
+    });
+  }
+  ~RawServer() { join(); }
+
+  u16 port() const { return listener_.port(); }
+
+  /// Stop accepting and wait for the serve loop; returns its error, if
+  /// any. Call once the client is done: every request it completed has
+  /// already been served.
+  std::string join() {
+    listener_.shutdown();
+    if (thread_.joinable()) thread_.join();
+    return error_;
+  }
+
+ private:
+  TcpListener listener_;
+  std::thread thread_;
+  std::string error_;
+};
+
+std::vector<u8> response_frame(const WireFrame& req, Status status,
+                               std::span<const u8> payload) {
+  std::vector<u8> out;
+  append_frame(out, req.header.opcode, status, req.header.request_id, payload,
+               echo_meta(req.header));
+  return out;
+}
+
+TEST(ClientWire, RequestFramesEqualTheReferenceEncoding) {
+  const auto data = test::smooth_signal(3000);
+  const std::vector<u8> container = {7, 8, 9, 10, 11};
+  const std::vector<f32> values = {1.5f, -2.0f, 0.25f};
+  for (u8 version : {kProtocolVersionV3, kProtocolVersion}) {
+    SCOPED_TRACE("version=" + std::to_string(version));
+    std::vector<WireFrame> seen;
+    RawServer raw(1, [&](const Socket& sock) {
+      seen.push_back(read_wire_frame(sock));
+      sock.write_all(response_frame(seen.back(), Status::kOk, container));
+      seen.push_back(read_wire_frame(sock));
+      std::vector<u8> out;
+      append_decompress_response_frame(out, seen.back().header.request_id,
+                                       values, echo_meta(seen.back().header));
+      sock.write_all(out);
+    });
+
+    CereszClient client;
+    client.set_protocol_version(version);
+    client.set_tenant(42, kPriorityInteractive);
+    client.connect("127.0.0.1", raw.port());
+    const auto bound = core::ErrorBound::relative(1e-3);
+    EXPECT_EQ(client.compress(data, bound, 250), container);
+    EXPECT_EQ(client.decompress(container, 300), values);
+    ASSERT_EQ(raw.join(), "");
+    ASSERT_EQ(seen.size(), 2u);
+
+    // The reference: the payload encoders, then append_frame, stamped
+    // with the trace context the attempt put on the wire (v3 carries
+    // none).
+    const auto reference = [&](const WireFrame& f,
+                               const std::vector<u8>& payload) {
+      std::vector<u8> frame;
+      append_frame(frame, f.header.opcode, Status::kOk, f.header.request_id,
+                   payload,
+                   FrameMeta(TenantTag{42, kPriorityInteractive},
+                             f.header.trace, version));
+      return frame;
+    };
+    std::vector<u8> compress_payload;
+    append_compress_request(compress_payload, CompressRequest{bound, 250, data});
+    std::vector<u8> decompress_payload;
+    append_decompress_request(decompress_payload,
+                              DecompressRequest{300, container});
+    EXPECT_EQ(seen[0].header.opcode, Opcode::kCompress);
+    EXPECT_EQ(seen[0].bytes, reference(seen[0], compress_payload));
+    EXPECT_EQ(seen[1].header.opcode, Opcode::kDecompress);
+    EXPECT_EQ(seen[1].bytes, reference(seen[1], decompress_payload));
+    for (const WireFrame& f : seen) {
+      EXPECT_EQ(f.header.version, version);
+      EXPECT_TRUE(payload_crc_ok(f.header, f.payload()));
+      EXPECT_EQ(f.header.trace.trace_id != 0, version == kProtocolVersion);
+    }
+  }
+}
+
+TEST(ClientWire, BusyRetryResendsAFrameTheServerCrcAccepts) {
+  const auto data = test::smooth_signal(2000);
+  const std::vector<u8> container = {1, 2, 3, 4};
+  const std::vector<f32> values = {3.0f, 4.0f};
+  std::vector<WireFrame> seen;
+  RawServer raw(1, [&](const Socket& sock) {
+    for (Opcode op : {Opcode::kCompress, Opcode::kDecompress}) {
+      seen.push_back(read_wire_frame(sock));
+      std::vector<u8> busy;
+      append_error_frame(busy, op, Status::kBusy, seen.back().header.request_id,
+                         "busy", echo_meta(seen.back().header));
+      sock.write_all(busy);
+      seen.push_back(read_wire_frame(sock));
+      const WireFrame& retry = seen.back();
+      if (!payload_crc_ok(retry.header, retry.payload())) {
+        sock.write_all(response_frame(retry, Status::kMalformed, {}));
+        continue;
+      }
+      std::vector<u8> ok;
+      if (op == Opcode::kCompress) {
+        ok = response_frame(retry, Status::kOk, container);
+      } else {
+        append_decompress_response_frame(ok, retry.header.request_id, values,
+                                         echo_meta(retry.header));
+      }
+      sock.write_all(ok);
+    }
+  });
+
+  RetryPolicy policy;
+  policy.max_attempts = 3;
+  policy.backoff_us = 100;
+  policy.backoff_cap_us = 1000;
+  CereszClient client(policy);
+  client.connect("127.0.0.1", raw.port());
+  EXPECT_EQ(client.compress(data, core::ErrorBound::absolute(1e-2)),
+            container);
+  EXPECT_EQ(client.decompress(container), values);
+  ASSERT_EQ(raw.join(), "");
+  EXPECT_EQ(client.stats().busy, 2u);
+  EXPECT_EQ(client.stats().retries, 2u);
+
+  ASSERT_EQ(seen.size(), 4u);
+  for (std::size_t i = 0; i < seen.size(); i += 2) {
+    const WireFrame& first = seen[i];
+    const WireFrame& again = seen[i + 1];
+    EXPECT_TRUE(payload_crc_ok(first.header, first.payload()));
+    EXPECT_TRUE(payload_crc_ok(again.header, again.payload()));
+    // Same request, same trace; only the attempt's span id differs.
+    EXPECT_EQ(again.header.request_id, first.header.request_id);
+    EXPECT_EQ(again.header.trace.trace_id, first.header.trace.trace_id);
+    EXPECT_NE(again.header.trace.parent_span_id,
+              first.header.trace.parent_span_id);
+    const std::size_t span_at = kFrameHeaderBytesV4 - sizeof(u64);
+    ASSERT_EQ(again.bytes.size(), first.bytes.size());
+    EXPECT_TRUE(std::equal(first.bytes.begin(), first.bytes.begin() + span_at,
+                           again.bytes.begin()));
+    EXPECT_TRUE(std::equal(first.bytes.begin() + kFrameHeaderBytesV4,
+                           first.bytes.end(),
+                           again.bytes.begin() + kFrameHeaderBytesV4));
+  }
+}
+
+TEST(ClientWire, HostileDecompressResponseIsTypedAndAllocatesNothing) {
+  // OK DECOMPRESS answers whose payload lies about itself. The first
+  // count wraps `8 + 4 * count` around to the real 12-byte size; a
+  // client that sized its buffer from the count would throw
+  // std::length_error (not a ceresz::Error) or exhaust memory.
+  const auto payload_with = [](u64 count, std::size_t value_bytes) {
+    std::vector<u8> p(sizeof(u64) + value_bytes, 0);
+    const auto count_bytes = le_bytes(count);
+    std::copy(count_bytes.begin(), count_bytes.end(), p.begin());
+    return p;
+  };
+  const std::vector<std::vector<u8>> payloads = {
+      payload_with((u64{1} << 62) + 1, 4),  // wraps to 12 bytes
+      payload_with(u64{1} << 40, 4),
+      payload_with(1000, 4),
+      payload_with(2, 4),
+      payload_with(1, 6),                    // not whole f32s
+      std::vector<u8>{1, 2, 3},              // too short for the count
+  };
+  RawServer raw(static_cast<u32>(payloads.size() + 1),
+                [&, next = std::size_t{0}](const Socket& sock) mutable {
+                  const WireFrame req = read_wire_frame(sock);
+                  if (next < payloads.size()) {
+                    sock.write_all(
+                        response_frame(req, Status::kOk, payloads[next++]));
+                    return;
+                  }
+                  // Finally a well-formed count with a wrong CRC.
+                  std::vector<u8> out;
+                  const std::vector<f32> v = {1.0f};
+                  append_decompress_response_frame(
+                      out, req.header.request_id, v, echo_meta(req.header));
+                  out.back() ^= 0x01;
+                  sock.write_all(out);
+                });
+  CereszClient client;
+  client.connect("127.0.0.1", raw.port());
+  const std::vector<u8> stream = {1, 2, 3};
+  for (std::size_t i = 0; i <= payloads.size(); ++i) {
+    EXPECT_THROW(client.decompress(stream), CorruptResponse) << "case " << i;
+    EXPECT_FALSE(client.connected()) << "case " << i;
+  }
+  EXPECT_EQ(client.stats().corrupt_responses, payloads.size() + 1);
+  EXPECT_EQ(raw.join(), "");
 }
 
 }  // namespace
