@@ -10,9 +10,10 @@
 # tenant coordinator suite (mutex-guarded lease bookkeeping racing
 # the server's reader threads), the parallel-simulator differential
 # suite (WaferSimulator row bands on shared thread pools), and the
-# hostile-input parsers: the cuSZ/SZ3 baselines, the CSZA archive, the
-# Huffman table, and the stream fuzzers (where a length that wraps a
-# bound would read past a buffer); and the format pins and the CLI,
+# hostile-input parsers: the common byte reader and errors, the cuSZ/SZ3
+# baselines, the CSZA archive, the Huffman table, and the stream fuzzers
+# (where a length that wraps a bound would read past a buffer); and the
+# format pins and the CLI,
 # whose frame and container headers are written in place into buffers
 # that already hold bytes (where an off-by-header-length write would
 # show).
@@ -44,7 +45,8 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" \
   --target test_engine test_checksum test_flenc test_prequant \
   test_block_codec test_kernels_dispatch test_fault_injection test_obs \
   test_service test_chaos test_tenant test_wafer_sim test_baselines \
-  test_archive test_huffman test_robustness test_format_pins test_cli
+  test_archive test_huffman test_robustness test_format_pins test_cli \
+  test_common
 
 cd "$BUILD_DIR"
 if [ "$MODE" = "thread" ]; then
@@ -53,5 +55,5 @@ else
   export ASAN_OPTIONS="halt_on_error=1 detect_stack_use_after_return=1"
 fi
 ctest --output-on-failure \
-  -R '^test_(engine|checksum|flenc|prequant|block_codec|kernels_dispatch|fault_injection|obs|service|chaos|tenant|wafer_sim|baselines|archive|huffman|robustness|format_pins|cli)$'
+  -R '^test_(engine|checksum|flenc|prequant|block_codec|kernels_dispatch|fault_injection|obs|service|chaos|tenant|wafer_sim|baselines|archive|huffman|robustness|format_pins|cli|common)$'
 echo "${MODE} sanitizer tests passed."

@@ -1,6 +1,8 @@
 // Configuration types of the CereSZ codec.
 #pragma once
 
+#include <cmath>
+
 #include "common/error.h"
 #include "common/types.h"
 
@@ -28,10 +30,17 @@ struct ErrorBound {
     return ErrorBound{Mode::kValueRangeRelative, lambda};
   }
 
-  /// Resolve to an absolute ε given the field's value range.
+  /// Resolve to an absolute ε given the field's value range. A bound that
+  /// is not finite and positive, or a REL bound over a non-finite range
+  /// (NaN or infinite input), is the caller's error.
   f64 resolve(f64 value_range) const {
-    CERESZ_CHECK(value > 0.0, "ErrorBound: bound must be positive");
+    CERESZ_CHECK_KIND(std::isfinite(value) && value > 0.0,
+                      ErrorKind::kInvalidArgument,
+                      "ErrorBound: bound must be finite and positive");
     if (mode == Mode::kAbsolute) return value;
+    CERESZ_CHECK_KIND(std::isfinite(value_range), ErrorKind::kInvalidArgument,
+                      "ErrorBound: the value range is not finite (NaN or "
+                      "infinite input)");
     // A constant field has zero range; any positive ε preserves it exactly.
     return value_range > 0.0 ? value * value_range : value;
   }

@@ -24,13 +24,15 @@ bool in_range(f64 rounded) {
   return rounded >= kMinQuant && rounded <= kMaxQuant;
 }
 
+/// Both causes are the caller's: the input, or a bound too small for it.
 [[noreturn]] void throw_out_of_range(bool finite_input) {
-  if (!finite_input) {
-    CERESZ_FAIL("prequant: non-finite input value (NaN or infinity)");
-  }
-  CERESZ_FAIL(
-      "prequant: quantized value exceeds 32 bits; the error bound is too "
-      "small for this data's magnitude");
+  detail::throw_error(
+      __FILE__, __LINE__, "failure",
+      finite_input
+          ? "prequant: quantized value exceeds 32 bits; the error bound is "
+            "too small for this data's magnitude"
+          : "prequant: non-finite input value (NaN or infinity)",
+      ErrorKind::kInvalidArgument);
 }
 
 /// Cold path of both prequant kernels: a block failed the range check,

@@ -17,17 +17,22 @@ using clock = std::chrono::steady_clock;
 
 enum class Outcome : u8 {
   kSuccess,
-  kTransient,
-  kTimeout,
+  kFailure,
   kCrash,
-  kPermanent,
 };
+
+/// Bad input or bad bytes: a retry would fail the same way.
+bool permanent(ErrorKind kind) {
+  return kind == ErrorKind::kInvalidArgument ||
+         kind == ErrorKind::kCorruptData;
+}
 
 struct ChunkState {
   u32 attempts_started = 0;
   bool running = false;
   bool done = false;
   Outcome outcome = Outcome::kSuccess;
+  ErrorKind kind = ErrorKind::kInternal;
   std::string message;
   clock::time_point started{};
   std::shared_ptr<CancelToken> cancel;
@@ -69,25 +74,21 @@ RunReport ChunkRunner::run(u64 n_chunks, const ChunkFn& fn) {
   auto make_task = [&](u64 c, u32 attempt,
                        std::shared_ptr<CancelToken> cancel) {
     return [&, rs, c, attempt, cancel = std::move(cancel)] {
-      Outcome oc = Outcome::kSuccess;
+      Outcome oc = Outcome::kFailure;
+      ErrorKind kind = ErrorKind::kInternal;
       std::string message;
-      bool crash = false;
       try {
         fn(c, attempt, *cancel);
+        oc = Outcome::kSuccess;
       } catch (const WorkerCrash&) {
         oc = Outcome::kCrash;
-        crash = true;
-      } catch (const PermanentChunkError& e) {
-        oc = Outcome::kPermanent;
-        message = e.what();
-      } catch (const ChunkTimeout& e) {
-        oc = Outcome::kTimeout;
+        message = "chunk " + std::to_string(c) + ": worker thread crashed";
+      } catch (const Error& e) {
+        kind = e.kind();
         message = e.what();
       } catch (const std::exception& e) {
-        oc = Outcome::kTransient;
         message = e.what();
       } catch (...) {
-        oc = Outcome::kTransient;
         message = "chunk attempt failed with an unknown error";
       }
       {
@@ -95,13 +96,12 @@ RunReport ChunkRunner::run(u64 n_chunks, const ChunkFn& fn) {
         ChunkState& st = rs->states[c];
         st.running = false;
         st.outcome = oc;
-        st.message = crash ? "chunk " + std::to_string(c) +
-                                 ": worker thread crashed"
-                           : std::move(message);
+        st.kind = kind;
+        st.message = std::move(message);
         rs->completions.push_back(c);
       }
       rs->cv.notify_all();
-      if (crash) throw WorkerCrash{};
+      if (oc == Outcome::kCrash) throw WorkerCrash{};
     };
   };
 
@@ -187,17 +187,11 @@ RunReport ChunkRunner::run(u64 n_chunks, const ChunkFn& fn) {
         ++resolved;
         continue;
       }
-      if (st.outcome == Outcome::kPermanent) {
-        st.done = true;
-        ++resolved;
-        report.failed.push_back({c, true, st.message});
-        continue;
-      }
       if (st.outcome == Outcome::kCrash) ++report.worker_crashes;
-      if (st.attempts_started >= policy_.max_attempts) {
+      if (permanent(st.kind) || st.attempts_started >= policy_.max_attempts) {
         st.done = true;
         ++resolved;
-        report.failed.push_back({c, false, st.message});
+        report.failed.push_back({c, st.kind, st.attempts_started, st.message});
       } else {
         ++report.retries;
         const u32 k = std::min<u32>(st.attempts_started, 21) - 1;

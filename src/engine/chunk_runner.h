@@ -2,11 +2,12 @@
 //
 // ChunkRunner::run() dispatches one attempt per chunk and shepherds every
 // failure to a terminal state:
-//   - transient failures (any std::exception, injected throws, crashed
-//     workers, timeouts) are retried with capped exponential backoff, up
-//     to RetryPolicy::max_attempts attempts per chunk;
-//   - PermanentChunkError skips the retry ladder entirely — it marks data
-//     that is wrong (bad CRC, undecodable record), which no retry fixes;
+//   - transient failures (an internal or deadline ceresz::Error, any other
+//     std::exception, injected throws, crashed workers) are retried with
+//     capped exponential backoff, up to RetryPolicy::max_attempts
+//     attempts per chunk;
+//   - an invalid-argument or corrupt-data Error skips the retry ladder
+//     entirely — the input or the bytes are wrong, which no retry fixes;
 //   - with deadline_ms > 0 a watchdog thread cancels attempts that outlive
 //     their deadline via the attempt's CancelToken (cooperative: chunk
 //     functions poll it between blocks);
@@ -47,7 +48,7 @@ struct RetryPolicy {
 
 /// Cooperative cancellation flag for one chunk attempt. The watchdog sets
 /// it; the chunk function polls it between blocks and aborts by throwing
-/// ChunkTimeout.
+/// an Error of kind kDeadline.
 class CancelToken {
  public:
   void cancel() { cancelled_.store(true, std::memory_order_release); }
@@ -59,25 +60,12 @@ class CancelToken {
   std::atomic<bool> cancelled_{false};
 };
 
-/// Failure that retrying cannot fix: the chunk's bytes are wrong (CRC
-/// mismatch, undecodable record). Goes straight to the failed list.
-class PermanentChunkError : public Error {
- public:
-  using Error::Error;
-};
-
-/// Thrown by a chunk function that observed its CancelToken fire. Treated
-/// as a transient failure (the attempt timed out; a retry may succeed).
-class ChunkTimeout : public Error {
- public:
-  using Error::Error;
-};
-
 /// A chunk that exhausted its attempts or failed permanently.
 struct ChunkFailure {
   u64 chunk = 0;
-  bool permanent = false;  ///< PermanentChunkError vs retries exhausted
-  std::string message;     ///< the final attempt's error
+  ErrorKind kind = ErrorKind::kInternal;  ///< the final attempt's kind
+  u32 attempts = 0;                       ///< attempts made, first included
+  std::string message;                    ///< the final attempt's error
 };
 
 /// What happened during one run.
@@ -94,8 +82,9 @@ struct RunReport {
 class ChunkRunner {
  public:
   /// `attempt` is 0-based; the function either returns (success) or throws
-  /// (ChunkTimeout / PermanentChunkError / WorkerCrash / anything else =
-  /// transient). It must leave its chunk re-runnable on failure.
+  /// (an invalid-argument or corrupt-data Error = permanent; WorkerCrash;
+  /// anything else = transient). It must leave its chunk re-runnable on
+  /// failure.
   using ChunkFn =
       std::function<void(u64 chunk, u32 attempt, const CancelToken& cancel)>;
 

@@ -71,23 +71,49 @@ struct EngineMetrics {
     fallback_chunks.add(report.fallback_chunks);
   }
 
-  /// End-of-run gauges, set just before the snapshot is taken.
-  void finish(u32 thread_count, const ThreadPool& pool, f64 wall) {
+  /// Set the end-of-run gauges, take the run's snapshot and fold it into
+  /// the caller's registry (if any). Failed runs publish too, so their
+  /// retries and timeouts are not lost with the result.
+  obs::MetricsSnapshot finish(const obs::MetricsRegistry& reg,
+                              obs::MetricsRegistry* sink, u32 thread_count,
+                              const ThreadPool& pool, f64 wall) {
     threads.set(thread_count);
     queue_high_water.set(static_cast<f64>(pool.queue_high_water()));
     wall_seconds.set(wall);
     f64 busy = 0.0;
     for (f64 s : pool.busy_seconds()) busy += s;
     busy_seconds.set(busy);
+    obs::MetricsSnapshot snap = reg.snapshot();
+    if (sink) sink->accumulate(snap);
+    return snap;
   }
 };
 
+/// Abort a chunk attempt whose CancelToken fired: a deadline error, which
+/// the ChunkRunner retries, marked on the trace where it happened.
+[[noreturn]] void throw_timeout(obs::Tracer* tracer, u64 chunk,
+                                const std::string& what) {
+  if (tracer) {
+    tracer->instant("chunk.timeout", "engine", "chunk",
+                    static_cast<i64>(chunk));
+  }
+  throw Error(what, ErrorKind::kDeadline);
+}
+
+/// The error for a chunk that failed terminally, with its kind.
+[[noreturn]] void throw_failure(const ChunkFailure& f) {
+  throw Error("ParallelEngine: chunk " + std::to_string(f.chunk) +
+                  " failed after " + std::to_string(f.attempts) +
+                  " attempt(s): " + f.message,
+              f.kind);
+}
+
 /// Apply the injected fault (if any) for this attempt. kStall sleeps in
 /// cancellable 1 ms ticks; if the watchdog fires mid-stall the attempt
-/// aborts with ChunkTimeout, otherwise it proceeds with the real work
-/// (modeling a worker that was slow, not broken).
+/// times out, otherwise it proceeds with the real work (modeling a worker
+/// that was slow, not broken).
 void maybe_inject(const WorkerFaultPlan& plan, u64 chunk, u32 attempt,
-                  const CancelToken& cancel) {
+                  const CancelToken& cancel, obs::Tracer* tracer) {
   switch (plan.fault(chunk, attempt)) {
     case WorkerFault::kNone:
       return;
@@ -102,9 +128,8 @@ void maybe_inject(const WorkerFaultPlan& plan, u64 chunk, u32 attempt,
                          std::chrono::milliseconds(plan.stall_ms);
       while (std::chrono::steady_clock::now() < until) {
         if (cancel.cancelled()) {
-          throw ChunkTimeout("injected stall at chunk " +
-                             std::to_string(chunk) +
-                             " was cancelled by the watchdog");
+          throw_timeout(tracer, chunk,
+                        "the watchdog cancelled an injected stall");
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
@@ -218,26 +243,17 @@ EngineResult ParallelEngine::compress_into(std::span<const f32> data,
           tracer->instant("chunk.retry", "engine", "chunk",
                           static_cast<i64>(c));
         }
-        try {
-          maybe_inject(options_.faults, c, attempt, cancel);
-          const u64 begin = c * C;
-          const u64 end = std::min(n, begin + C);
-          ChunkOutput o;
-          if (!block_codec_.compress_blocks(
-                  data.subspan(begin, end - begin), eps, o.bytes, o.stats,
-                  [&cancel] { return cancel.cancelled(); })) {
-            throw ChunkTimeout("chunk " + std::to_string(c) +
-                               " exceeded its compression deadline");
-          }
-          o.crc = crc32c(o.bytes);
-          outs[c] = std::move(o);
-        } catch (const ChunkTimeout&) {
-          if (tracer) {
-            tracer->instant("chunk.timeout", "engine", "chunk",
-                            static_cast<i64>(c));
-          }
-          throw;
+        maybe_inject(options_.faults, c, attempt, cancel, tracer);
+        const u64 begin = c * C;
+        const u64 end = std::min(n, begin + C);
+        ChunkOutput o;
+        if (!block_codec_.compress_blocks(
+                data.subspan(begin, end - begin), eps, o.bytes, o.stats,
+                [&cancel] { return cancel.cancelled(); })) {
+          throw_timeout(tracer, c, "the attempt exceeded its deadline");
         }
+        o.crc = crc32c(o.bytes);
+        outs[c] = std::move(o);
         em.chunk_seconds.observe(static_cast<f64>(now_ns() - attempt_start) *
                                  1e-9);
       });
@@ -245,14 +261,13 @@ EngineResult ParallelEngine::compress_into(std::span<const f32> data,
   // lands after it records the completion — wait for true idleness before
   // reading the pool's counters (see ThreadPool::busy_seconds()).
   pool.wait_idle();
+  em.merge(report);
   // Compression has no lenient mode: the caller asked for a complete
-  // container, and a chunk that exhausted its attempts means there is
-  // none to give.
+  // container, and a chunk that failed terminally means there is none to
+  // give.
   if (!report.all_succeeded()) {
-    const ChunkFailure& f = report.failed.front();
-    throw Error("ParallelEngine: chunk " + std::to_string(f.chunk) +
-                " failed after " + std::to_string(options_.retry.max_attempts) +
-                " attempt(s): " + f.message);
+    em.finish(reg, options_.metrics, threads, pool, timer.seconds());
+    throw_failure(report.failed.front());
   }
 
   // Assemble the container: header + chunk table, then payloads in order.
@@ -295,15 +310,12 @@ EngineResult ParallelEngine::compress_into(std::span<const f32> data,
   em.chunks.add(n_chunks);
   em.uncompressed_bytes.add(n * sizeof(f32));
   em.compressed_bytes.add(result.stream_bytes);
-  em.merge(report);
-  em.finish(threads, pool, timer.seconds());
-
-  const obs::MetricsSnapshot snap = reg.snapshot();
+  const obs::MetricsSnapshot snap =
+      em.finish(reg, options_.metrics, threads, pool, timer.seconds());
   const core::StreamStats stream_stats = result.stats.stream;
   result.stats = EngineStats::from_snapshot(snap);
   result.stats.stream = stream_stats;
   result.stats.worker_busy_seconds = pool.busy_seconds();
-  if (options_.metrics) options_.metrics->accumulate(snap);
   return result;
 }
 
@@ -323,15 +335,21 @@ DecompressResult ParallelEngine::decompress_into(std::span<const u8> stream,
   obs::Tracer* const tracer = options_.tracer;
   obs::MetricsRegistry reg;
   EngineMetrics em(reg);
-  const io::ParsedContainer parsed = io::parse_container(stream);
-  const io::ChunkedHeader& h = parsed.header;
+  io::ParsedContainer parsed;
   const core::CodecConfig& cfg = block_codec_.config();
-  CERESZ_CHECK(h.codec_header_bytes == cfg.header_bytes,
-               "ParallelEngine: stream was written with a different block "
-               "header width than this engine's configuration");
-  CERESZ_CHECK(h.block_size == cfg.block_size,
-               "ParallelEngine: stream was written with a different block "
-               "size than this engine's configuration");
+  try {
+    parsed = io::parse_container(stream);
+    CERESZ_CHECK(parsed.header.codec_header_bytes == cfg.header_bytes,
+                 "ParallelEngine: stream was written with a different block "
+                 "header width than this engine's configuration");
+    CERESZ_CHECK(parsed.header.block_size == cfg.block_size,
+                 "ParallelEngine: stream was written with a different block "
+                 "size than this engine's configuration");
+  } catch (const Error& e) {
+    // Whichever check rejects the stream, its bytes are at fault.
+    throw Error(e.what(), ErrorKind::kCorruptData);
+  }
+  const io::ChunkedHeader& h = parsed.header;
   const u64 n = h.element_count;
 
   obs::SpanGuard run_span(tracer, "engine.decompress", "engine", "chunks",
@@ -351,11 +369,11 @@ DecompressResult ParallelEngine::decompress_into(std::span<const u8> stream,
 
   // Each attempt decodes straight into its disjoint output range and
   // checksums what it wrote while the bytes are still in cache. Corrupt
-  // data (CRC mismatch, undecodable record) throws PermanentChunkError —
-  // retrying cannot fix bytes — while injected/transient faults and
-  // timeouts go through the ChunkRunner retry ladder. A chunk that still
-  // fails is quarantined below: zero-filled and reported in lenient mode,
-  // fatal in strict mode.
+  // data (CRC mismatch, undecodable record) throws kCorruptData, which
+  // the ChunkRunner never retries, while injected/transient faults and
+  // timeouts go through its retry ladder. A chunk that still fails is
+  // quarantined below: zero-filled and reported in lenient mode, fatal in
+  // strict mode.
   ChunkRunner runner(pool, options_.retry);
   const RunReport report = runner.run(
       parsed.entries.size(),
@@ -368,34 +386,26 @@ DecompressResult ParallelEngine::decompress_into(std::span<const u8> stream,
           tracer->instant("chunk.retry", "engine", "chunk",
                           static_cast<i64>(c));
         }
-        maybe_inject(options_.faults, c, attempt, cancel);
+        maybe_inject(options_.faults, c, attempt, cancel, tracer);
         const io::ChunkEntry& e = parsed.entries[c];
         const u64 begin = c * h.chunk_elems;
         const auto payload = stream.subspan(e.offset, e.compressed_bytes);
         if (crc32c(payload) != e.crc32c) {
-          throw PermanentChunkError(
-              "ParallelEngine: chunk " + std::to_string(c) +
-              " failed its CRC32C check (corrupt payload)");
+          throw Error("payload failed its CRC32C check",
+                      ErrorKind::kCorruptData);
         }
         const std::span<f32> chunk_out(out + begin, e.element_count);
+        bool finished = false;
         try {
-          if (!block_codec_.decompress_blocks(
-                  payload, h.eps_abs, chunk_out,
-                  [&cancel] { return cancel.cancelled(); })) {
-            throw ChunkTimeout("chunk " + std::to_string(c) +
-                               " exceeded its decompression deadline");
-          }
-        } catch (const ChunkTimeout&) {
-          // A timeout is transient, not data corruption.
-          if (tracer) {
-            tracer->instant("chunk.timeout", "engine", "chunk",
-                            static_cast<i64>(c));
-          }
-          throw;
+          finished = block_codec_.decompress_blocks(
+              payload, h.eps_abs, chunk_out,
+              [&cancel] { return cancel.cancelled(); });
         } catch (const std::exception& ex) {
-          throw PermanentChunkError("ParallelEngine: chunk " +
-                                    std::to_string(c) +
-                                    " is corrupt: " + ex.what());
+          throw Error(std::string("undecodable payload: ") + ex.what(),
+                      ErrorKind::kCorruptData);
+        }
+        if (!finished) {
+          throw_timeout(tracer, c, "the attempt exceeded its deadline");
         }
         chunk_crcs[c] = crc32c(raw_bytes(chunk_out));
         em.chunk_seconds.observe(static_cast<f64>(now_ns() - attempt_start) *
@@ -405,9 +415,13 @@ DecompressResult ParallelEngine::decompress_into(std::span<const u8> stream,
   // See the matching wait in compress(): pool counters are only
   // consistent once every worker has finished its post-task accounting.
   pool.wait_idle();
+  em.merge(report);
+  if (!options_.lenient && !report.all_succeeded()) {
+    em.finish(reg, options_.metrics, threads, pool, timer.seconds());
+    throw_failure(report.failed.front());
+  }
 
   for (const ChunkFailure& f : report.failed) {
-    if (!options_.lenient) throw Error(f.message);
     const io::ChunkEntry& e = parsed.entries[f.chunk];
     const std::span<f32> chunk_out(out + f.chunk * h.chunk_elems,
                                    e.element_count);
@@ -430,13 +444,10 @@ DecompressResult ParallelEngine::decompress_into(std::span<const u8> stream,
   em.chunks.add(parsed.entries.size());
   em.uncompressed_bytes.add(n * sizeof(f32));
   em.compressed_bytes.add(stream.size());
-  em.merge(report);
-  em.finish(threads, pool, timer.seconds());
-
-  const obs::MetricsSnapshot snap = reg.snapshot();
+  const obs::MetricsSnapshot snap =
+      em.finish(reg, options_.metrics, threads, pool, timer.seconds());
   result.stats = EngineStats::from_snapshot(snap);
   result.stats.worker_busy_seconds = pool.busy_seconds();
-  if (options_.metrics) options_.metrics->accumulate(snap);
   return result;
 }
 

@@ -20,6 +20,8 @@
 // the pool without aborting the run, and a fully collapsed pool degrades
 // to single-threaded inline execution. Output bytes are unchanged by any
 // recovered fault; see docs/robustness.md.
+// Bad bounds or input (NaN/Inf, ε too small) throw kInvalidArgument and a
+// bad stream kCorruptData, neither retried; see docs/engine.md.
 #pragma once
 
 #include <functional>

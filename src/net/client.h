@@ -62,7 +62,8 @@ class ServiceError : public Error {
 /// caller decides (new connection, different server, alarm).
 class CorruptResponse : public Error {
  public:
-  explicit CorruptResponse(const std::string& what) : Error(what) {}
+  explicit CorruptResponse(const std::string& what)
+      : Error(what, ErrorKind::kCorruptData) {}
 };
 
 /// How hard the client fights for each logical request. The defaults

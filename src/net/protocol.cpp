@@ -57,6 +57,16 @@ const char* status_name(Status st) {
   return "UNKNOWN";
 }
 
+Status status_for(ErrorKind kind) {
+  switch (kind) {
+    case ErrorKind::kInvalidArgument: return Status::kBadRequest;
+    case ErrorKind::kCorruptData: return Status::kCorruptStream;
+    case ErrorKind::kDeadline: return Status::kDeadlineExpired;
+    case ErrorKind::kInternal: return Status::kInternal;
+  }
+  return Status::kInternal;
+}
+
 namespace {
 
 void check_version(u8 version) {
@@ -154,9 +164,10 @@ CompressRequest decode_compress_request(std::span<const u8> payload) {
                              : core::ErrorBound::Mode::kValueRangeRelative;
   req.deadline_ms = r.get_u32();
   req.bound.value = r.get_f64();
-  CERESZ_CHECK(std::isfinite(req.bound.value) && req.bound.value > 0.0,
-               "net: COMPRESS payload has a non-positive or non-finite "
-               "error bound");
+  CERESZ_CHECK_KIND(std::isfinite(req.bound.value) && req.bound.value > 0.0,
+                    ErrorKind::kInvalidArgument,
+                    "net: COMPRESS payload has a non-positive or non-finite "
+                    "error bound");
   const u64 count = r.get_u64();
   // The element count must account for the remaining payload exactly.
   CERESZ_CHECK(r.remaining() % sizeof(f32) == 0,

@@ -75,6 +75,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/error.h"
 #include "common/types.h"
 #include "core/config.h"
 
@@ -120,18 +121,17 @@ enum class Opcode : u8 {
   kStats = 4,
 };
 
-/// Response result codes. The service maps ceresz::Error conditions onto
-/// this enum the same way the CLI maps them onto exit codes (README
-/// exit-code table): malformed/bad requests are the caller's fault,
-/// kCorruptStream marks undecodable compressed data, kBusy/kDeadline
-/// are the service's load-shedding verdicts, kInternal everything else.
+/// Response result codes. A failed request's status is its error's kind
+/// (status_for), except that a payload that does not decode is
+/// kMalformed and a passed deadline is kDeadlineExpired; kBusy and
+/// kDraining are the service's admission verdicts.
 enum class Status : u16 {
   kOk = 0,
   kMalformed = 1,        ///< unparseable frame or payload
-  kUnsupported = 2,      ///< unknown version or opcode
+  kUnsupported = 2,      ///< reserved; an unknown opcode is kMalformed
   kBusy = 3,             ///< in-flight limit reached; retry later
   kDeadlineExpired = 4,  ///< request deadline passed before completion
-  kBadRequest = 5,       ///< parseable but invalid (bad bound, empty data)
+  kBadRequest = 5,       ///< invalid bound or input (NaN/Inf, ε too small)
   kCorruptStream = 6,    ///< DECOMPRESS payload failed validation/CRC
   kInternal = 7,         ///< engine failure not attributable to the input
   kDraining = 8,         ///< server is draining; no new work accepted
@@ -139,6 +139,9 @@ enum class Status : u16 {
 
 const char* opcode_name(Opcode op);
 const char* status_name(Status st);
+
+/// The status that answers a failure of `kind`.
+Status status_for(ErrorKind kind);
 
 /// Who a frame belongs to: the tenant routing fields of the v3 header.
 /// Defaults are the untenanted legacy path (tenant 0, standard

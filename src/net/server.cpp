@@ -554,146 +554,96 @@ struct ServiceServer::Impl {
       }
     };
 
+    // Both opcodes run decode → engine → encode → write into the pooled
+    // response frame, whose header is written last. A passed deadline is
+    // thrown as kDeadline so that every failure leaves through one catch.
     u64 deadline_ns = 0;
+    const auto check_deadline = [&](const char* what) {
+      if (deadline_ns != 0 && now_ns() >= deadline_ns) {
+        throw Error(std::string("request deadline expired ") + what,
+                    ErrorKind::kDeadline);
+      }
+    };
+    bool decoded = false;
     try {
-      if (op == Opcode::kCompress) {
-        CompressRequest creq;
-        {
-          const obs::SpanGuard decode_span(options_.tracer, "server.decode",
-                                           "server", "request_id",
-                                           static_cast<i64>(id));
+      CompressRequest creq;
+      DecompressRequest dreq;
+      {
+        const obs::SpanGuard decode_span(options_.tracer, "server.decode",
+                                         "server", "request_id",
+                                         static_cast<i64>(id));
+        if (op == Opcode::kCompress) {
           creq = decode_compress_request(*req.payload);
-        }
-        deadline_ns = deadline_ns_for(creq.deadline_ms, req.arrival_ns);
-        if (deadline_ns != 0 && now_ns() >= deadline_ns) {
-          m_.deadline_expired.add(1);
-          send_error(conn, op, Status::kDeadlineExpired, id,
-                     "request deadline expired before execution started",
-                     meta);
-          finish("DEADLINE_EXPIRED");
-          return;
-        }
-        // The container is compressed straight into the pooled response
-        // frame, after a header that is written last.
-        const engine::ParallelEngine eng(engine_options(deadline_ns));
-        PooledBuffer out = pool_.acquire();
-        begin_frame(*out, meta.version);
-        engine::EngineResult result;
-        {
-          const obs::SpanGuard engine_span(options_.tracer, "server.engine",
-                                           "server", "request_id",
-                                           static_cast<i64>(id));
-          result = eng.compress_into(creq.data, creq.bound, *out);
-        }
-        if (deadline_ns != 0 && now_ns() >= deadline_ns) {
-          m_.deadline_expired.add(1);
-          send_error(conn, op, Status::kDeadlineExpired, id,
-                     "request deadline expired during compression", meta);
-          finish("DEADLINE_EXPIRED");
-          return;
-        }
-        {
-          const obs::SpanGuard encode_span(options_.tracer, "server.encode",
-                                           "server", "request_id",
-                                           static_cast<i64>(id));
-          end_frame(*out, 0, op, Status::kOk, id, result.stream_crc32c, meta);
-        }
-        const obs::SpanGuard write_span(options_.tracer, "server.write",
-                                        "server", "request_id",
-                                        static_cast<i64>(id));
-        send(conn, *out);
-      } else {
-        DecompressRequest dreq;
-        {
-          const obs::SpanGuard decode_span(options_.tracer, "server.decode",
-                                           "server", "request_id",
-                                           static_cast<i64>(id));
+        } else {
           dreq = decode_decompress_request(*req.payload);
         }
-        deadline_ns = deadline_ns_for(dreq.deadline_ms, req.arrival_ns);
-        if (deadline_ns != 0 && now_ns() >= deadline_ns) {
-          m_.deadline_expired.add(1);
-          send_error(conn, op, Status::kDeadlineExpired, id,
-                     "request deadline expired before execution started",
-                     meta);
-          finish("DEADLINE_EXPIRED");
-          return;
-        }
-        // The values are decoded straight into the pooled response frame,
-        // after the header and the element count; the frame CRC joins the
-        // count's CRC with the one the engine's workers computed.
-        const engine::ParallelEngine eng(engine_options(deadline_ns));
-        PooledBuffer out = pool_.acquire();
-        begin_frame(*out, meta.version);
-        u64 count = 0;
-        engine::DecompressResult result;
-        {
-          const obs::SpanGuard engine_span(options_.tracer, "server.engine",
-                                           "server", "request_id",
-                                           static_cast<i64>(id));
-          result = eng.decompress_into(dreq.stream, [&](u64 n) {
-            count = n;
-            return append_decompress_response_values(*out, n);
-          });
-        }
-        if (deadline_ns != 0 && now_ns() >= deadline_ns) {
-          m_.deadline_expired.add(1);
-          send_error(conn, op, Status::kDeadlineExpired, id,
-                     "request deadline expired during decompression", meta);
-          finish("DEADLINE_EXPIRED");
-          return;
-        }
-        {
-          const obs::SpanGuard encode_span(options_.tracer, "server.encode",
-                                           "server", "request_id",
-                                           static_cast<i64>(id));
-          end_frame(*out, 0, op, Status::kOk, id,
-                    decompress_response_crc(count, result.values_crc32c),
-                    meta);
-        }
-        const obs::SpanGuard write_span(options_.tracer, "server.write",
-                                        "server", "request_id",
-                                        static_cast<i64>(id));
-        send(conn, *out);
       }
-    } catch (const Error& e) {
-      // Map the failure the way the CLI maps exit codes: a passed
-      // deadline wins (the engine's timeouts are a symptom of it), an
-      // undecodable payload is the client's frame, a bad DECOMPRESS
-      // stream is corrupt data, anything else is on the server.
-      Status status;
+      decoded = true;
+      deadline_ns = deadline_ns_for(
+          op == Opcode::kCompress ? creq.deadline_ms : dreq.deadline_ms,
+          req.arrival_ns);
+      check_deadline("before execution started");
+      // COMPRESS writes the container after the header; DECOMPRESS writes
+      // the element count and the values, and the frame CRC joins the
+      // count's CRC with the one the engine's workers computed.
+      const engine::ParallelEngine eng(engine_options(deadline_ns));
+      PooledBuffer out = pool_.acquire();
+      begin_frame(*out, meta.version);
+      u32 crc = 0;
+      {
+        const obs::SpanGuard engine_span(options_.tracer, "server.engine",
+                                         "server", "request_id",
+                                         static_cast<i64>(id));
+        if (op == Opcode::kCompress) {
+          crc = eng.compress_into(creq.data, creq.bound, *out).stream_crc32c;
+        } else {
+          u64 count = 0;
+          const u32 values_crc =
+              eng.decompress_into(dreq.stream, [&](u64 n) {
+                   count = n;
+                   return append_decompress_response_values(*out, n);
+                 }).values_crc32c;
+          crc = decompress_response_crc(count, values_crc);
+        }
+      }
+      check_deadline(op == Opcode::kCompress ? "during compression"
+                                             : "during decompression");
+      {
+        const obs::SpanGuard encode_span(options_.tracer, "server.encode",
+                                         "server", "request_id",
+                                         static_cast<i64>(id));
+        end_frame(*out, 0, op, Status::kOk, id, crc, meta);
+      }
+      const obs::SpanGuard write_span(options_.tracer, "server.write",
+                                      "server", "request_id",
+                                      static_cast<i64>(id));
+      send(conn, *out);
+    } catch (const std::exception& e) {
+      // A passed deadline wins (the engine's timeouts are a symptom of
+      // it); a payload that failed to decode is the client's frame unless
+      // it parsed into invalid arguments; otherwise the kind decides.
+      const auto* err = dynamic_cast<const Error*>(&e);
+      const ErrorKind kind = err ? err->kind() : ErrorKind::kInternal;
+      Status status = status_for(kind);
       if (deadline_ns != 0 && now_ns() >= deadline_ns) {
-        m_.deadline_expired.add(1);
         status = Status::kDeadlineExpired;
-      } else if (std::string_view(e.what()).find("net:") !=
-                 std::string_view::npos) {
-        m_.malformed.add(1);
+      } else if (!decoded && kind != ErrorKind::kInvalidArgument) {
         status = Status::kMalformed;
-      } else if (op == Opcode::kDecompress) {
-        status = Status::kCorruptStream;
-      } else {
-        status = Status::kInternal;
       }
+      if (status == Status::kDeadlineExpired) m_.deadline_expired.add(1);
+      if (status == Status::kMalformed) m_.malformed.add(1);
       if (options_.logger != nullptr) {
-        options_.logger->warn("server.request_failed",
-                              {{"request_id", id},
-                               {"tenant_id", tag.tenant_id},
-                               {"status", status_name(status)},
-                               {"error", e.what()}});
+        options_.logger->log(
+            status == Status::kInternal ? obs::LogLevel::kError
+                                        : obs::LogLevel::kWarn,
+            "server.request_failed",
+            {{"request_id", id},
+             {"tenant_id", tag.tenant_id},
+             {"status", status_name(status)},
+             {"error", e.what()}});
       }
       send_error(conn, op, status, id, e.what(), meta);
       finish(status_name(status));
-      return;
-    } catch (const std::exception& e) {
-      if (options_.logger != nullptr) {
-        options_.logger->error("server.request_failed",
-                               {{"request_id", id},
-                                {"tenant_id", tag.tenant_id},
-                                {"status", "INTERNAL"},
-                                {"error", e.what()}});
-      }
-      send_error(conn, op, Status::kInternal, id, e.what(), meta);
-      finish("INTERNAL");
       return;
     }
     finish("OK");

@@ -34,7 +34,8 @@ namespace ceresz::net {
 /// count timeouts separately from resets.
 class NetTimeout : public Error {
  public:
-  explicit NetTimeout(const std::string& what) : Error(what) {}
+  explicit NetTimeout(const std::string& what)
+      : Error(what, ErrorKind::kDeadline) {}
 };
 
 /// An owned socket file descriptor. Move-only; closes on destruction.

@@ -12,9 +12,32 @@
 #include "common/format.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "test_util.h"
 
 namespace ceresz {
 namespace {
+
+// ---- errors ----
+
+TEST(Error, KindDefaultsToInternalAndTheChecksKeepIt) {
+  EXPECT_EQ(Error("x").kind(), ErrorKind::kInternal);
+  EXPECT_EQ(test::error_kind([] { CERESZ_CHECK(false, "x"); }),
+            ErrorKind::kInternal);
+  EXPECT_EQ(test::error_kind([] { CERESZ_FAIL("x"); }), ErrorKind::kInternal);
+  EXPECT_EQ(test::error_kind([] { CERESZ_CHECK(true, "x"); }), std::nullopt);
+}
+
+TEST(Error, CheckKindThrowsItsKindWithTheLocation) {
+  try {
+    CERESZ_CHECK_KIND(1 + 1 == 3, ErrorKind::kCorruptData, "bad bytes");
+    FAIL() << "expected ceresz::Error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::kCorruptData);
+    EXPECT_NE(std::string(e.what()).find("bad bytes [1 + 1 == 3 at "),
+              std::string::npos)
+        << e.what();
+  }
+}
 
 // ---- byte I/O ----
 

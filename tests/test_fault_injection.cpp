@@ -11,7 +11,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
+#include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 
 #include "core/stream_codec.h"
 #include "engine/parallel_engine.h"
@@ -19,6 +23,7 @@
 #include "io/chunk_container.h"
 #include "mapping/report.h"
 #include "mapping/wafer_mapper.h"
+#include "obs/metrics.h"
 #include "test_util.h"
 #include "wse/fabric.h"
 #include "wse/fault_plan.h"
@@ -425,6 +430,81 @@ TEST(EngineFaults, ExhaustedRetriesFailCompressionStructurally) {
   }
 }
 
+/// Run `fn`, which must throw ceresz::Error; return the Error's message
+/// and its kind.
+template <class Fn>
+std::pair<std::string, ErrorKind> expect_error(Fn&& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return {e.what(), e.kind()};
+  }
+  ADD_FAILURE() << "expected ceresz::Error";
+  return {"", ErrorKind::kInternal};
+}
+
+TEST(EngineFaults, FailedRunsStillPublishTheirRetries) {
+  const auto data = test::smooth_signal(2048);
+  const auto stream =
+      engine::ParallelEngine(engine_options(2)).compress(data, kBound).stream;
+  obs::MetricsRegistry reg;
+  engine::EngineOptions opt = engine_options(2);
+  opt.metrics = &reg;
+  opt.faults.fail_chunk(0, opt.retry.max_attempts);  // every attempt throws
+  const engine::ParallelEngine eng(opt);
+  const u64 retries_per_run = opt.retry.max_attempts - 1;
+
+  auto [what, kind] = expect_error([&] { eng.compress(data, kBound); });
+  EXPECT_EQ(kind, ErrorKind::kInternal);
+  EXPECT_NE(what.find("chunk 0 failed after 3 attempt(s)"), std::string::npos)
+      << what;
+  EXPECT_EQ(reg.counter(engine::kMetricRetries).value(), retries_per_run);
+
+  std::tie(what, kind) = expect_error([&] { eng.decompress(stream); });
+  EXPECT_EQ(kind, ErrorKind::kInternal);
+  EXPECT_EQ(reg.counter(engine::kMetricRetries).value(), 2 * retries_per_run);
+}
+
+TEST(EngineFaults, InvalidInputIsAttemptedOnceAndNeverRetried) {
+  obs::MetricsRegistry reg;
+  engine::EngineOptions opt = engine_options(2);
+  opt.metrics = &reg;
+  const engine::ParallelEngine eng(opt);
+
+  // NaN in the middle of chunk 1 under an ABS bound reaches prequant.
+  auto data = test::smooth_signal(2048);
+  data[300] = std::numeric_limits<f32>::quiet_NaN();
+  auto [what, kind] = expect_error([&] { eng.compress(data, kBound); });
+  EXPECT_EQ(kind, ErrorKind::kInvalidArgument);
+  EXPECT_NE(what.find("chunk 1 failed after 1 attempt(s)"), std::string::npos)
+      << what;
+  EXPECT_NE(what.find("non-finite input value"), std::string::npos) << what;
+
+  // An ε too small for values near 100 fails every chunk on its first try.
+  std::vector<f32> hundreds(2048, 100.0f);
+  std::tie(what, kind) = expect_error(
+      [&] { eng.compress(hundreds, core::ErrorBound::absolute(1e-12)); });
+  EXPECT_EQ(kind, ErrorKind::kInvalidArgument);
+  EXPECT_NE(what.find("chunk 0 failed after 1 attempt(s)"), std::string::npos)
+      << what;
+  EXPECT_EQ(reg.counter(engine::kMetricRetries).value(), 0u);
+}
+
+TEST(EngineFaults, TimedOutChunksFailWithTheDeadlineKind) {
+  obs::MetricsRegistry reg;
+  engine::EngineOptions opt = engine_options(2);
+  opt.metrics = &reg;
+  opt.retry.deadline_ms = 20;
+  opt.faults.stall_ms = 10000;
+  opt.faults.stall_chunk(2, opt.retry.max_attempts);
+  const auto data = test::smooth_signal(2048);
+  const auto [what, kind] = expect_error(
+      [&] { engine::ParallelEngine(opt).compress(data, kBound); });
+  EXPECT_EQ(kind, ErrorKind::kDeadline) << what;
+  EXPECT_GE(reg.counter(engine::kMetricTimeouts).value(),
+            opt.retry.max_attempts);
+}
+
 TEST(EngineFaults, CrashedWorkersDoNotChangeTheBytes) {
   const auto data = test::smooth_signal(2048);
   const auto clean =
@@ -497,6 +577,29 @@ TEST(EngineFaults, StrictModeStillThrowsOnCorruptChunks) {
   const auto parsed = io::parse_container(result.stream);
   result.stream[parsed.entries[6].offset] ^= 0x10;
   EXPECT_THROW(eng.decompress(result.stream), Error);
+}
+
+TEST(EngineFaults, CorruptStreamsFailWithTheCorruptDataKind) {
+  const auto data = test::smooth_signal(2048);
+  obs::MetricsRegistry reg;
+  engine::EngineOptions opt = engine_options(2);
+  opt.metrics = &reg;
+  const engine::ParallelEngine eng(opt);
+  auto stream = eng.compress(data, kBound).stream;
+
+  // A corrupt header or table is caught by the container parse.
+  auto bad_header = stream;
+  bad_header[20] ^= 0x01;
+  EXPECT_EQ(test::error_kind([&] { eng.decompress(bad_header); }),
+            ErrorKind::kCorruptData);
+  // A corrupt payload fails its chunk's CRC once, with no retry.
+  const auto parsed = io::parse_container(stream);
+  stream[parsed.entries[4].offset + 1] ^= 0x20;
+  const auto [what, kind] = expect_error([&] { eng.decompress(stream); });
+  EXPECT_EQ(kind, ErrorKind::kCorruptData);
+  EXPECT_NE(what.find("chunk 4 failed after 1 attempt(s)"), std::string::npos)
+      << what;
+  EXPECT_EQ(reg.counter(engine::kMetricRetries).value(), 0u);
 }
 
 TEST(EngineFaults, DecompressionRecoversFromTransientFaults) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "core/config.h"
 #include "test_util.h"
 
 namespace ceresz::core {
@@ -101,6 +102,47 @@ TEST(Prequant, NonFiniteInputIsNotBlamedOnTheErrorBound) {
     EXPECT_NE(what.find("the error bound is too small"), std::string::npos)
         << what;
     EXPECT_EQ(what.find("non-finite"), std::string::npos) << what;
+  }
+}
+
+TEST(Prequant, OutOfRangeInputIsTheCallersError) {
+  const f32 nan = std::numeric_limits<f32>::quiet_NaN();
+  for (f32 bad : {nan, 3.0e9f}) {
+    std::vector<f32> in(32, 1.0f);
+    in[5] = bad;
+    std::vector<i32> out(in.size());
+    EXPECT_EQ(test::error_kind([&] { prequant(in, out, 2e-3); }),
+              ErrorKind::kInvalidArgument);
+    EXPECT_EQ(test::error_kind([&] { scalar::prequant(in, out, 2e-3); }),
+              ErrorKind::kInvalidArgument);
+  }
+}
+
+TEST(ErrorBound, ResolveRejectsANonFiniteValueRange) {
+  const f64 nan = std::numeric_limits<f64>::quiet_NaN();
+  const f64 inf = std::numeric_limits<f64>::infinity();
+  const ErrorBound rel = ErrorBound::relative(1e-3);
+  // A NaN range (first element NaN) used to resolve silently to ε = λ.
+  EXPECT_EQ(test::error_kind([&] { (void)rel.resolve(nan); }),
+            ErrorKind::kInvalidArgument);
+  EXPECT_EQ(test::error_kind([&] { (void)rel.resolve(inf); }),
+            ErrorKind::kInvalidArgument);
+  // A constant field still resolves to λ; an ABS bound ignores the range.
+  EXPECT_EQ(rel.resolve(0.0), 1e-3);
+  EXPECT_EQ(rel.resolve(4.0), 4e-3);
+  EXPECT_EQ(ErrorBound::absolute(0.5).resolve(nan), 0.5);
+}
+
+TEST(ErrorBound, ResolveRejectsABoundThatIsNotFiniteAndPositive) {
+  const f64 nan = std::numeric_limits<f64>::quiet_NaN();
+  const f64 inf = std::numeric_limits<f64>::infinity();
+  for (f64 value : {nan, inf, 0.0, -1e-3}) {
+    for (const ErrorBound bound :
+         {ErrorBound::absolute(value), ErrorBound::relative(value)}) {
+      EXPECT_EQ(test::error_kind([&] { (void)bound.resolve(1.0); }),
+                ErrorKind::kInvalidArgument)
+          << value;
+    }
   }
 }
 

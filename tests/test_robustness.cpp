@@ -5,8 +5,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "baselines/compressor.h"
 #include "common/rng.h"
@@ -162,6 +165,129 @@ TEST_P(StreamFuzz, StreamCodecAndWaferMapperAgree) {
                      "cut at " + std::to_string(cut));
   }
   EXPECT_GT(rejected, 0);
+}
+
+// Input policy: the host codec, the engine at 1 and 4 threads, and the
+// simulated wafer take the same inputs. On each hostile input below they
+// either all succeed with the same values within ε, or all throw an Error
+// of the same kind — never a different verdict on one path.
+TEST_P(StreamFuzz, EveryPathGivesTheSameVerdictOnHostileInput) {
+  const u64 seed = GetParam();
+  Rng rng(seed * 61 + 17);
+  const f32 nan = std::numeric_limits<f32>::quiet_NaN();
+  const f32 inf = std::numeric_limits<f32>::infinity();
+  const f32 fmax = std::numeric_limits<f32>::max();
+  const auto rel = core::ErrorBound::relative(1e-3);
+  const auto abs = core::ErrorBound::absolute(1e-3);
+  const auto base = test::smooth_signal(2048, seed);
+  const std::size_t mid = 256 * (1 + rng.next_below(6)) + 1 + rng.next_below(254);
+  const auto with = [&](std::size_t at, f32 v) {
+    auto d = base;
+    d[at] = v;
+    return d;
+  };
+  std::vector<f32> extremes = base;
+  extremes[rng.next_below(256)] = fmax;
+  extremes[mid] = -fmax;
+  std::vector<f32> denormals(2048);
+  for (auto& v : denormals) {
+    v = static_cast<f32>(rng.uniform(-1e-39, 1e-39));
+  }
+  const auto invalid = std::optional(ErrorKind::kInvalidArgument);
+
+  struct Case {
+    std::string name;
+    std::vector<f32> data;
+    core::ErrorBound bound;
+    std::optional<ErrorKind> want;  ///< nullopt: every path succeeds
+  };
+  const std::vector<Case> cases = {
+      {"NaN at index 0, REL", with(0, nan), rel, invalid},
+      {"NaN at index 0, ABS", with(0, nan), abs, invalid},
+      {"NaN mid-chunk, REL", with(mid, nan), rel, invalid},
+      {"NaN mid-chunk, ABS", with(mid, nan), abs, invalid},
+      {"+Inf, REL", with(mid, inf), rel, invalid},
+      {"-Inf, ABS", with(mid, -inf), abs, invalid},
+      {"+-FLT_MAX at REL 1e-12", extremes, core::ErrorBound::relative(1e-12),
+       invalid},
+      {"denormals only", denormals, rel, std::nullopt},
+      {"constant field", std::vector<f32>(2048, 3.25f), rel, std::nullopt},
+      {"33-element tail", test::smooth_signal(2048 + 33, seed), rel,
+       std::nullopt},
+  };
+
+  engine::EngineOptions one_thread;
+  one_thread.threads = 1;
+  one_thread.chunk_elems = 256;
+  engine::EngineOptions four_threads = one_thread;
+  four_threads.threads = 4;
+  mapping::MapperOptions wafer_opt;
+  wafer_opt.rows = 2;
+  wafer_opt.cols = 4;
+  wafer_opt.pipeline_length = 1;
+
+  struct Outcome {
+    std::optional<ErrorKind> kind;
+    std::vector<f32> values;
+    f64 eps = 0.0;
+  };
+  // Compress and decompress on one path; a throw from either ends it.
+  const auto run = [](auto&& round_trip) {
+    Outcome o;
+    try {
+      round_trip(o);
+    } catch (const Error& e) {
+      o.kind = e.kind();
+    }
+    return o;
+  };
+
+  for (const Case& c : cases) {
+    const std::vector<std::pair<const char*, Outcome>> paths = {
+        {"StreamCodec", run([&](Outcome& o) {
+           const core::StreamCodec codec;
+           const auto r = codec.compress(c.data, c.bound);
+           o.eps = r.eps_abs;
+           o.values = codec.decompress(r.stream);
+         })},
+        {"engine x1", run([&](Outcome& o) {
+           const engine::ParallelEngine eng(one_thread);
+           const auto r = eng.compress(c.data, c.bound);
+           o.eps = r.eps_abs;
+           o.values = eng.decompress(r.stream).values;
+         })},
+        {"engine x4", run([&](Outcome& o) {
+           const engine::ParallelEngine eng(four_threads);
+           const auto r = eng.compress(c.data, c.bound);
+           o.eps = r.eps_abs;
+           o.values = eng.decompress(r.stream).values;
+         })},
+        {"WaferMapper", run([&](Outcome& o) {
+           const mapping::WaferMapper mapper(wafer_opt);
+           const auto r = mapper.compress(c.data, c.bound);
+           o.eps = r.eps_abs;
+           o.values = mapper.decompress(r.stream).output;
+         })},
+    };
+    const Outcome& ref = paths.front().second;
+    EXPECT_EQ(ref.kind, c.want) << c.name;
+    for (const auto& [path, o] : paths) {
+      EXPECT_EQ(o.kind, ref.kind) << c.name << " on " << path;
+      if (o.kind || ref.kind) continue;
+      EXPECT_EQ(o.eps, ref.eps) << c.name << " on " << path;
+      ASSERT_EQ(o.values.size(), c.data.size()) << c.name << " on " << path;
+      EXPECT_LE(test::max_err(c.data, o.values),
+                o.eps + test::f32_ulp_slack(c.data))
+          << c.name << " on " << path;
+      EXPECT_TRUE(std::equal(o.values.begin(), o.values.end(),
+                             ref.values.begin(), ref.values.end(),
+                             [](f32 a, f32 b) {
+                               return std::bit_cast<u32>(a) ==
+                                      std::bit_cast<u32>(b);
+                             }))
+          << c.name << " on " << path;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamFuzz, ::testing::Values(1, 2, 3, 4));

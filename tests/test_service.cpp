@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -134,6 +135,13 @@ TEST(Protocol, CompressRequestRejectsHostilePayloads) {
     bad_bound[8 + b] = static_cast<u8>((bits >> (8 * b)) & 0xff);
   }
   EXPECT_THROW(decode_compress_request(bad_bound), Error);
+}
+
+TEST(Protocol, EachErrorKindHasOneStatus) {
+  EXPECT_EQ(status_for(ErrorKind::kInvalidArgument), Status::kBadRequest);
+  EXPECT_EQ(status_for(ErrorKind::kCorruptData), Status::kCorruptStream);
+  EXPECT_EQ(status_for(ErrorKind::kDeadline), Status::kDeadlineExpired);
+  EXPECT_EQ(status_for(ErrorKind::kInternal), Status::kInternal);
 }
 
 TEST(Protocol, DecompressRequestAndResponseRoundTrip) {
@@ -461,6 +469,81 @@ TEST(Service, CorruptStreamGetsTypedErrorAndConnectionSurvives) {
   const auto values = client.decompress(stream);
   EXPECT_EQ(values.size(), data.size());
   EXPECT_EQ(server.metrics().counter(kMetricErrorResponses).value(), 1u);
+}
+
+/// The status of the ServiceError `call` throws; kOk if it returns.
+template <class Call>
+Status status_of(Call&& call) {
+  try {
+    call();
+  } catch (const ServiceError& e) {
+    return e.status();
+  }
+  return Status::kOk;
+}
+
+TEST(Service, CallerFaultsAreBadRequestsAndTheConnectionSurvives) {
+  ServiceServer server(test_server());
+  server.start();
+  CereszClient client;
+  client.connect("127.0.0.1", server.port());
+  const auto data = test::smooth_signal(4096);
+  const auto expect_round_trip = [&] {
+    const auto stream = client.compress(data, core::ErrorBound::relative(1e-3));
+    EXPECT_EQ(client.decompress(stream).size(), data.size());
+  };
+  u64 rejected = 0;
+  const auto expect_status = [&](Status want, auto&& call, const char* what) {
+    EXPECT_EQ(status_name(status_of(call)), std::string(status_name(want)))
+        << what;
+    ++rejected;
+    expect_round_trip();  // an error frame is a response, not a hang-up
+  };
+
+  // Non-finite input, first or mid-chunk, under either bound mode: the
+  // engine rejects it on the first attempt, with no retry.
+  const f32 inf = std::numeric_limits<f32>::infinity();
+  for (const f32 bad : {std::numeric_limits<f32>::quiet_NaN(), inf, -inf}) {
+    for (const std::size_t at : {std::size_t{0}, std::size_t{2500}}) {
+      auto input = data;
+      input[at] = bad;
+      for (const auto bound : {core::ErrorBound::relative(1e-3),
+                               core::ErrorBound::absolute(1e-3)}) {
+        expect_status(
+            Status::kBadRequest,
+            [&] { (void)client.compress(input, bound); }, "non-finite input");
+      }
+    }
+  }
+  // An ε too small for the data's magnitude.
+  std::vector<f32> hundreds(data.size());
+  for (std::size_t i = 0; i < data.size(); ++i) hundreds[i] = 100.0f + data[i];
+  expect_status(
+      Status::kBadRequest,
+      [&] {
+        (void)client.compress(hundreds, core::ErrorBound::absolute(1e-12));
+      },
+      "eps too small");
+  // A NaN or negative bound is rejected while the payload is decoded.
+  for (const f64 value : {std::numeric_limits<f64>::quiet_NaN(), -1e-3}) {
+    expect_status(
+        Status::kBadRequest,
+        [&] { (void)client.compress(data, core::ErrorBound::absolute(value)); },
+        "bad bound");
+  }
+  // Random bytes are a corrupt stream, not the caller's malformed frame.
+  std::vector<u8> junk(500);
+  Rng rng(21);
+  for (auto& b : junk) b = static_cast<u8>(rng.next_u64());
+  expect_status(
+      Status::kCorruptStream, [&] { (void)client.decompress(junk); },
+      "random stream");
+
+  server.stop();
+  obs::MetricsRegistry& m = server.metrics();
+  EXPECT_EQ(m.counter(kMetricErrorResponses).value(), rejected);
+  EXPECT_EQ(m.counter(kMetricMalformed).value(), 0u);
+  EXPECT_EQ(m.counter(engine::kMetricRetries).value(), 0u);
 }
 
 TEST(Service, OversizedFrameIsRejectedAsMalformed) {

@@ -2,9 +2,11 @@
 #pragma once
 
 #include <cmath>
+#include <optional>
 #include <span>
 #include <vector>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "common/types.h"
 
@@ -63,6 +65,17 @@ inline f64 f32_ulp_slack(std::span<const f32> data) {
   for (f32 v : data) amax = std::max(amax, std::fabs(v));
   const f32 next = std::nextafter(amax, 4.0f * amax + 1.0f);
   return (static_cast<f64>(next) - amax) / 2.0;
+}
+
+/// The kind of the ceresz::Error `fn` throws; nullopt if it returns.
+template <class Fn>
+std::optional<ErrorKind> error_kind(Fn&& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.kind();
+  }
+  return std::nullopt;
 }
 
 }  // namespace ceresz::test
