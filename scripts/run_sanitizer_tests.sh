@@ -54,6 +54,8 @@ if [ "$MODE" = "thread" ]; then
 else
   export ASAN_OPTIONS="halt_on_error=1 detect_stack_use_after_return=1"
 fi
-ctest --output-on-failure \
+# A hang fails the run instead of stalling it: the longest test here
+# takes about 12 s under TSan.
+ctest --output-on-failure --timeout 300 \
   -R '^test_(engine|checksum|flenc|prequant|block_codec|kernels_dispatch|fault_injection|obs|service|chaos|tenant|wafer_sim|baselines|archive|huffman|robustness|format_pins|cli|common)$'
 echo "${MODE} sanitizer tests passed."

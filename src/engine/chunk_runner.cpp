@@ -1,13 +1,14 @@
 #include "engine/chunk_runner.h"
 
 #include <algorithm>
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
+
+#include "engine/fault_injection.h"
 
 namespace ceresz::engine {
 
@@ -27,20 +28,16 @@ bool permanent(ErrorKind kind) {
          kind == ErrorKind::kCorruptData;
 }
 
-struct ChunkState {
-  u32 attempts_started = 0;
-  bool running = false;
-  bool done = false;
-  Outcome outcome = Outcome::kSuccess;
+/// How one attempt ended, as its task reports it.
+struct Completion {
+  u64 chunk = 0;
+  Outcome outcome = Outcome::kFailure;
   ErrorKind kind = ErrorKind::kInternal;
   std::string message;
-  clock::time_point started{};
-  std::shared_ptr<CancelToken> cancel;
 };
 
-// All mutable run state lives behind one mutex: worker tasks append to
-// `completions`, the watchdog cancels overdue attempts, and only the
-// calling thread makes retry/failure decisions. Heap-allocated and
+// Worker tasks append completions under the mutex; only the calling
+// thread reads them and makes retry/failure decisions. Heap-allocated and
 // shared with every task: a worker's final notify runs after it has
 // released the mutex, so the calling thread can observe the completion
 // and return from run() while that notify is still executing — each
@@ -48,8 +45,7 @@ struct ChunkState {
 struct RunState {
   std::mutex mu;
   std::condition_variable cv;
-  std::vector<ChunkState> states;
-  std::deque<u64> completions;
+  std::deque<Completion> completions;
 };
 
 }  // namespace
@@ -65,136 +61,78 @@ RunReport ChunkRunner::run(u64 n_chunks, const ChunkFn& fn) {
   if (n_chunks == 0) return report;
 
   auto rs = std::make_shared<RunState>();
-  rs->states.resize(n_chunks);
+  std::vector<u32> attempts(n_chunks, 0);  // started per chunk; caller-only
   std::multimap<clock::time_point, u64> retry_at;
   u64 resolved = 0;  // chunks that succeeded or terminally failed
 
-  // One attempt, wrapped so that nothing but WorkerCrash ever escapes into
-  // the pool — and WorkerCrash only after the outcome is recorded.
-  auto make_task = [&](u64 c, u32 attempt,
-                       std::shared_ptr<CancelToken> cancel) {
-    return [&, rs, c, attempt, cancel = std::move(cancel)] {
-      Outcome oc = Outcome::kFailure;
-      ErrorKind kind = ErrorKind::kInternal;
-      std::string message;
+  // One attempt at chunk `c`. Its deadline counts from when the task is
+  // made, so time spent queued counts against it. The task catches
+  // everything — an injected WorkerCrash included — so nothing escapes
+  // into the pool.
+  auto make_task = [&](u64 c, u32 attempt) {
+    return [&fn, rs, c, attempt, cancel = CancelToken(policy_.deadline_ms)] {
+      Completion done;
+      done.chunk = c;
       try {
-        fn(c, attempt, *cancel);
-        oc = Outcome::kSuccess;
+        fn(c, attempt, cancel);
+        done.outcome = Outcome::kSuccess;
       } catch (const WorkerCrash&) {
-        oc = Outcome::kCrash;
-        message = "chunk " + std::to_string(c) + ": worker thread crashed";
+        done.outcome = Outcome::kCrash;
+        done.message = "chunk " + std::to_string(c) + ": worker crashed";
       } catch (const Error& e) {
-        kind = e.kind();
-        message = e.what();
+        done.kind = e.kind();
+        done.message = e.what();
       } catch (const std::exception& e) {
-        message = e.what();
+        done.message = e.what();
       } catch (...) {
-        message = "chunk attempt failed with an unknown error";
+        done.message = "chunk attempt failed with an unknown error";
       }
       {
         std::lock_guard lock(rs->mu);
-        ChunkState& st = rs->states[c];
-        st.running = false;
-        st.outcome = oc;
-        st.kind = kind;
-        st.message = std::move(message);
-        rs->completions.push_back(c);
+        rs->completions.push_back(std::move(done));
       }
       rs->cv.notify_all();
-      if (oc == Outcome::kCrash) throw WorkerCrash{};
     };
   };
 
-  // Start the next attempt at chunk `c`. Falls back to inline execution on
-  // the calling thread once the pool has collapsed; while the pool is
-  // merely saturated, helps drain it instead of blocking.
+  // Start the next attempt at chunk `c`. While the pool is saturated, help
+  // drain it instead of blocking; each try makes a fresh task, so the time
+  // spent draining does not count against this attempt's deadline.
   auto dispatch = [&](u64 c) {
-    u32 attempt = 0;
-    auto cancel = std::make_shared<CancelToken>();
-    {
-      std::lock_guard lock(rs->mu);
-      ChunkState& st = rs->states[c];
-      attempt = st.attempts_started++;
-      st.running = true;
-      st.started = clock::now();
-      st.cancel = cancel;
-    }
-    auto task = make_task(c, attempt, std::move(cancel));
-    for (;;) {
-      if (pool_.alive() == 0) {
-        {
-          std::lock_guard lock(rs->mu);
-          ++report.fallback_chunks;
-        }
-        try {
-          task();
-        } catch (const WorkerCrash&) {
-          // Inline execution borrows the caller's thread; nothing dies.
-        }
-        return;
-      }
-      if (pool_.try_submit(task)) return;
+    const u32 attempt = attempts[c]++;
+    while (!pool_.try_submit(make_task(c, attempt))) {
       if (!pool_.run_one_inline()) std::this_thread::yield();
     }
   };
 
-  std::atomic<bool> stop_watchdog{false};
-  std::thread watchdog;
-  if (policy_.deadline_ms > 0) {
-    // The watchdog must be its own thread: the calling thread can be busy
-    // running attempts inline, and workers can all be stalled — neither
-    // may be relied on to notice a deadline.
-    watchdog = std::thread([&] {
-      const auto deadline = std::chrono::milliseconds(policy_.deadline_ms);
-      const auto tick =
-          std::chrono::milliseconds(std::max<u64>(1, policy_.deadline_ms / 4));
-      while (!stop_watchdog.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(tick);
-        std::lock_guard lock(rs->mu);
-        const auto now = clock::now();
-        for (auto& st : rs->states) {
-          if (st.running && st.cancel && !st.cancel->cancelled() &&
-              now - st.started > deadline) {
-            st.cancel->cancel();
-            ++report.timeouts;
-          }
-        }
-      }
-    });
-  }
-
   for (u64 c = 0; c < n_chunks; ++c) dispatch(c);
 
   std::unique_lock lock(rs->mu);
+  const auto completed = [&] { return !rs->completions.empty(); };
   while (resolved < n_chunks) {
-    if (rs->completions.empty()) {
-      if (!retry_at.empty()) {
-        rs->cv.wait_until(lock, retry_at.begin()->first);
-      } else {
-        // Attempts are in flight; the timeout only guards against a pool
-        // that collapsed with work still queued.
-        rs->cv.wait_for(lock, std::chrono::milliseconds(10));
-      }
+    if (retry_at.empty()) {
+      rs->cv.wait(lock, completed);
+    } else {
+      rs->cv.wait_until(lock, retry_at.begin()->first, completed);
     }
 
     while (!rs->completions.empty()) {
-      const u64 c = rs->completions.front();
+      Completion done = std::move(rs->completions.front());
       rs->completions.pop_front();
-      ChunkState& st = rs->states[c];
-      if (st.done) continue;
-      if (st.outcome == Outcome::kSuccess) {
-        st.done = true;
+      if (done.outcome == Outcome::kSuccess) {
         ++resolved;
         continue;
       }
-      if (st.outcome == Outcome::kCrash) ++report.worker_crashes;
-      if (permanent(st.kind) || st.attempts_started >= policy_.max_attempts) {
-        st.done = true;
+      const u64 c = done.chunk;
+      if (done.outcome == Outcome::kCrash) ++report.worker_crashes;
+      if (done.kind == ErrorKind::kDeadline) ++report.timeouts;
+      if (permanent(done.kind) || attempts[c] >= policy_.max_attempts) {
         ++resolved;
-        report.failed.push_back({c, st.kind, st.attempts_started, st.message});
+        report.failed.push_back(
+            {c, done.kind, attempts[c], std::move(done.message)});
       } else {
         ++report.retries;
-        const u32 k = std::min<u32>(st.attempts_started, 21) - 1;
+        const u32 k = std::min<u32>(attempts[c], 21) - 1;
         const u64 delay_us =
             std::min(policy_.backoff_cap_us, policy_.backoff_us << k);
         retry_at.emplace(clock::now() + std::chrono::microseconds(delay_us),
@@ -210,19 +148,8 @@ RunReport ChunkRunner::run(u64 n_chunks, const ChunkFn& fn) {
       dispatch(c);
       lock.lock();
     }
-
-    if (pool_.alive() == 0) {
-      // No worker will ever pop what is still queued; run it here.
-      lock.unlock();
-      while (pool_.run_one_inline()) {
-      }
-      lock.lock();
-    }
   }
   lock.unlock();
-
-  stop_watchdog.store(true, std::memory_order_release);
-  if (watchdog.joinable()) watchdog.join();
 
   std::sort(
       report.failed.begin(), report.failed.end(),

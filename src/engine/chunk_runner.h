@@ -3,18 +3,17 @@
 // ChunkRunner::run() dispatches one attempt per chunk and shepherds every
 // failure to a terminal state:
 //   - transient failures (an internal or deadline ceresz::Error, any other
-//     std::exception, injected throws, crashed workers) are retried with
-//     capped exponential backoff, up to RetryPolicy::max_attempts
-//     attempts per chunk;
+//     std::exception, injected throws and crashes) are retried with capped
+//     exponential backoff, up to RetryPolicy::max_attempts attempts per
+//     chunk;
 //   - an invalid-argument or corrupt-data Error skips the retry ladder
 //     entirely — the input or the bytes are wrong, which no retry fixes;
-//   - with deadline_ms > 0 a watchdog thread cancels attempts that outlive
-//     their deadline via the attempt's CancelToken (cooperative: chunk
-//     functions poll it between blocks);
-//   - a WorkerCrash kills its worker but not the run — survivors keep
-//     draining, and once the pool collapses (alive() == 0) the calling
-//     thread executes the remaining attempts inline, so the run always
-//     terminates with every chunk either succeeded or failed.
+//   - with deadline_ms > 0 each attempt carries a CancelToken that expires
+//     deadline_ms after the attempt was dispatched; chunk functions compare
+//     it against the clock between blocks and abort with a kDeadline Error
+//     once it has passed;
+//   - an injected WorkerCrash loses only its attempt: the task records the
+//     crash and returns, and the worker carries on with the next task.
 //
 // At most one attempt per chunk is ever in flight, so chunk functions may
 // write their output slot in place; a retry observes the previous attempt
@@ -23,7 +22,7 @@
 // easy to reason about.
 #pragma once
 
-#include <atomic>
+#include <chrono>
 #include <functional>
 #include <string>
 #include <vector>
@@ -42,22 +41,39 @@ struct RetryPolicy {
   /// backoff_cap_us) microseconds.
   u64 backoff_us = 200;
   u64 backoff_cap_us = 5000;
-  /// Per-attempt deadline in milliseconds; 0 disables the watchdog.
+  /// Per-attempt deadline in milliseconds, counted from dispatch; 0 = none.
   u64 deadline_ms = 0;
 };
 
-/// Cooperative cancellation flag for one chunk attempt. The watchdog sets
-/// it; the chunk function polls it between blocks and aborts by throwing
-/// an Error of kind kDeadline.
+/// The expiry of one chunk attempt. Only the attempt reads it: the chunk
+/// function polls cancelled() between blocks and aborts by throwing an
+/// Error of kind kDeadline.
 class CancelToken {
  public:
-  void cancel() { cancelled_.store(true, std::memory_order_release); }
-  bool cancelled() const {
-    return cancelled_.load(std::memory_order_acquire);
+  using clock = std::chrono::steady_clock;
+
+  /// A token that never expires.
+  CancelToken() = default;
+
+  /// Expires `deadline_ms` from now. 0 never expires, and neither does a
+  /// deadline of 2^40 ms (35 years) or more, which could overflow the clock.
+  explicit CancelToken(u64 deadline_ms) {
+    if (deadline_ms > 0 && deadline_ms < (u64{1} << 40)) {
+      expiry_ = clock::now() + std::chrono::milliseconds(deadline_ms);
+    }
   }
 
+  /// True once the expiry has passed. Without a deadline this never
+  /// reads the clock.
+  bool cancelled() const {
+    return expiry_ != clock::time_point::max() && clock::now() >= expiry_;
+  }
+
+  /// When the attempt expires; time_point::max() for never.
+  clock::time_point expiry() const { return expiry_; }
+
  private:
-  std::atomic<bool> cancelled_{false};
+  clock::time_point expiry_ = clock::time_point::max();
 };
 
 /// A chunk that exhausted its attempts or failed permanently.
@@ -71,9 +87,8 @@ struct ChunkFailure {
 /// What happened during one run.
 struct RunReport {
   u64 retries = 0;         ///< re-dispatched attempts (beyond the first)
-  u64 timeouts = 0;        ///< attempts cancelled by the watchdog
-  u64 worker_crashes = 0;  ///< attempts that took their worker down
-  u64 fallback_chunks = 0; ///< attempts run inline after pool collapse
+  u64 timeouts = 0;        ///< attempts that failed with a kDeadline Error
+  u64 worker_crashes = 0;  ///< attempts lost to an injected WorkerCrash
   std::vector<ChunkFailure> failed;  ///< terminally failed chunks, sorted
 
   bool all_succeeded() const { return failed.empty(); }
@@ -82,9 +97,9 @@ struct RunReport {
 class ChunkRunner {
  public:
   /// `attempt` is 0-based; the function either returns (success) or throws
-  /// (an invalid-argument or corrupt-data Error = permanent; WorkerCrash;
-  /// anything else = transient). It must leave its chunk re-runnable on
-  /// failure.
+  /// (an invalid-argument or corrupt-data Error = permanent; anything else,
+  /// WorkerCrash included = transient). It must leave its chunk re-runnable
+  /// on failure.
   using ChunkFn =
       std::function<void(u64 chunk, u32 attempt, const CancelToken& cancel)>;
 

@@ -28,8 +28,6 @@ inline constexpr const char* kMetricRetries = "ceresz_engine_retries_total";
 inline constexpr const char* kMetricTimeouts = "ceresz_engine_timeouts_total";
 inline constexpr const char* kMetricWorkerCrashes =
     "ceresz_engine_worker_crashes_total";
-inline constexpr const char* kMetricFallbackChunks =
-    "ceresz_engine_fallback_chunks_total";
 inline constexpr const char* kMetricQuarantined =
     "ceresz_engine_quarantined_total";
 inline constexpr const char* kMetricThreads = "ceresz_engine_threads";
@@ -56,12 +54,11 @@ struct EngineStats {
   u64 queue_high_water = 0;
 
   // Fault-tolerance counters (all zero on a healthy run).
-  u64 retries = 0;          ///< chunk attempts re-dispatched after a failure
-  u64 timeouts = 0;         ///< attempts cancelled by the deadline watchdog
-  u64 worker_crashes = 0;   ///< worker threads lost mid-run
-  u64 fallback_chunks = 0;  ///< attempts run inline after the pool collapsed
-  u64 quarantined = 0;      ///< chunks that terminally failed and were
-                            ///< zero-filled (lenient decompression only)
+  u64 retries = 0;         ///< chunk attempts re-dispatched after a failure
+  u64 timeouts = 0;        ///< attempts that outlived their deadline
+  u64 worker_crashes = 0;  ///< attempts lost to an injected worker crash
+  u64 quarantined = 0;     ///< chunks that terminally failed and were
+                           ///< zero-filled (lenient decompression only)
 
   /// Per-block statistics merged across all chunks (compression runs
   /// only; zeroed for decompression).
@@ -82,7 +79,6 @@ struct EngineStats {
     s.retries = snap.counter_value(kMetricRetries);
     s.timeouts = snap.counter_value(kMetricTimeouts);
     s.worker_crashes = snap.counter_value(kMetricWorkerCrashes);
-    s.fallback_chunks = snap.counter_value(kMetricFallbackChunks);
     s.quarantined = snap.counter_value(kMetricQuarantined);
     return s;
   }

@@ -5,6 +5,7 @@
 // default) cost one map lookup per attempt and inject nothing.
 #pragma once
 
+#include <exception>
 #include <map>
 #include <utility>
 
@@ -12,12 +13,22 @@
 
 namespace ceresz::engine {
 
+/// Thrown by an attempt that WorkerFault::kCrash hits. The ChunkRunner
+/// counts it in worker_crashes and retries the chunk; the worker that ran
+/// the attempt carries on.
+class WorkerCrash : public std::exception {
+ public:
+  const char* what() const noexcept override {
+    return "injected worker crash";
+  }
+};
+
 /// What an injected fault does to a chunk attempt.
 enum class WorkerFault : u8 {
   kNone = 0,
   kThrow,  ///< the attempt throws a transient ceresz::Error (retryable)
-  kCrash,  ///< the attempt throws WorkerCrash, killing its worker thread
-  kStall,  ///< the attempt sleeps (cancellably) for `stall_ms` before working
+  kCrash,  ///< the attempt throws WorkerCrash and is lost (retryable)
+  kStall,  ///< the attempt sleeps for `stall_ms`, or until its deadline
 };
 
 /// Schedule of injected engine faults, keyed by (chunk index, attempt
@@ -26,7 +37,7 @@ enum class WorkerFault : u8 {
 /// retry logic is tested with.
 struct WorkerFaultPlan {
   /// How long an injected kStall sleeps before proceeding with the real
-  /// work (unless the watchdog cancels it first).
+  /// work (unless the attempt's deadline comes first: then it times out).
   u64 stall_ms = 50;
 
   bool empty() const { return faults_.empty(); }
@@ -45,7 +56,7 @@ struct WorkerFaultPlan {
     for (u32 a = 0; a < attempts; ++a) set(chunk, a, WorkerFault::kThrow);
   }
 
-  /// Make attempt `attempt` at `chunk` take its worker thread down.
+  /// Make attempt `attempt` at `chunk` crash (throw WorkerCrash).
   void crash_chunk(u64 chunk, u32 attempt = 0) {
     set(chunk, attempt, WorkerFault::kCrash);
   }

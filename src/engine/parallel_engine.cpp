@@ -38,7 +38,6 @@ struct EngineMetrics {
   obs::Counter& retries;
   obs::Counter& timeouts;
   obs::Counter& worker_crashes;
-  obs::Counter& fallback_chunks;
   obs::Counter& quarantined;
   obs::Gauge& threads;
   obs::Gauge& queue_high_water;
@@ -53,7 +52,6 @@ struct EngineMetrics {
         retries(reg.counter(kMetricRetries)),
         timeouts(reg.counter(kMetricTimeouts)),
         worker_crashes(reg.counter(kMetricWorkerCrashes)),
-        fallback_chunks(reg.counter(kMetricFallbackChunks)),
         quarantined(reg.counter(kMetricQuarantined)),
         threads(reg.gauge(kMetricThreads)),
         queue_high_water(reg.gauge(kMetricQueueHighWater)),
@@ -68,7 +66,6 @@ struct EngineMetrics {
     retries.add(report.retries);
     timeouts.add(report.timeouts);
     worker_crashes.add(report.worker_crashes);
-    fallback_chunks.add(report.fallback_chunks);
   }
 
   /// Set the end-of-run gauges, take the run's snapshot and fold it into
@@ -89,7 +86,7 @@ struct EngineMetrics {
   }
 };
 
-/// Abort a chunk attempt whose CancelToken fired: a deadline error, which
+/// Abort a chunk attempt whose CancelToken expired: a deadline error, which
 /// the ChunkRunner retries, marked on the trace where it happened.
 [[noreturn]] void throw_timeout(obs::Tracer* tracer, u64 chunk,
                                 const std::string& what) {
@@ -108,10 +105,10 @@ struct EngineMetrics {
               f.kind);
 }
 
-/// Apply the injected fault (if any) for this attempt. kStall sleeps in
-/// cancellable 1 ms ticks; if the watchdog fires mid-stall the attempt
-/// times out, otherwise it proceeds with the real work (modeling a worker
-/// that was slow, not broken).
+/// Apply the injected fault (if any) for this attempt. kStall sleeps once,
+/// until the stall ends or the attempt expires, whichever comes first; an
+/// expiry times the attempt out, otherwise it proceeds with the real work
+/// (modeling a worker that was slow, not broken).
 void maybe_inject(const WorkerFaultPlan& plan, u64 chunk, u32 attempt,
                   const CancelToken& cancel, obs::Tracer* tracer) {
   switch (plan.fault(chunk, attempt)) {
@@ -122,20 +119,32 @@ void maybe_inject(const WorkerFaultPlan& plan, u64 chunk, u32 attempt,
                   std::to_string(chunk) + " attempt " +
                   std::to_string(attempt));
     case WorkerFault::kCrash:
+      if (tracer) {
+        tracer->instant("worker.crash", "engine", "chunk",
+                        static_cast<i64>(chunk));
+      }
       throw WorkerCrash{};
     case WorkerFault::kStall: {
-      const auto until = std::chrono::steady_clock::now() +
-                         std::chrono::milliseconds(plan.stall_ms);
-      while (std::chrono::steady_clock::now() < until) {
-        if (cancel.cancelled()) {
-          throw_timeout(tracer, chunk,
-                        "the watchdog cancelled an injected stall");
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      const auto stall_end = CancelToken::clock::now() +
+                             std::chrono::milliseconds(plan.stall_ms);
+      if (cancel.expiry() < stall_end) {
+        std::this_thread::sleep_until(cancel.expiry());
+        throw_timeout(tracer, chunk,
+                      "an injected stall outlived the attempt's deadline");
       }
+      std::this_thread::sleep_until(stall_end);
       return;
     }
   }
+}
+
+/// The stop predicate for an attempt's block loop. A block takes about
+/// 120 ns, so it reads the clock before the first block and then once
+/// every 64 blocks.
+auto deadline_poll(const CancelToken& cancel) {
+  return [&cancel, blocks = u32{0}]() mutable {
+    return blocks++ % 64 == 0 && cancel.cancelled();
+  };
 }
 
 }  // namespace
@@ -249,7 +258,7 @@ EngineResult ParallelEngine::compress_into(std::span<const f32> data,
         ChunkOutput o;
         if (!block_codec_.compress_blocks(
                 data.subspan(begin, end - begin), eps, o.bytes, o.stats,
-                [&cancel] { return cancel.cancelled(); })) {
+                deadline_poll(cancel))) {
           throw_timeout(tracer, c, "the attempt exceeded its deadline");
         }
         o.crc = crc32c(o.bytes);
@@ -398,8 +407,7 @@ DecompressResult ParallelEngine::decompress_into(std::span<const u8> stream,
         bool finished = false;
         try {
           finished = block_codec_.decompress_blocks(
-              payload, h.eps_abs, chunk_out,
-              [&cancel] { return cancel.cancelled(); });
+              payload, h.eps_abs, chunk_out, deadline_poll(cancel));
         } catch (const std::exception& ex) {
           throw Error(std::string("undecodable payload: ") + ex.what(),
                       ErrorKind::kCorruptData);

@@ -15,11 +15,10 @@
 // chunk is still recovered.
 //
 // Fault tolerance: chunk work runs through a ChunkRunner — transient
-// worker failures are retried with capped exponential backoff, stalled
-// attempts are cancelled by a deadline watchdog, crashed workers shrink
-// the pool without aborting the run, and a fully collapsed pool degrades
-// to single-threaded inline execution. Output bytes are unchanged by any
-// recovered fault; see docs/robustness.md.
+// failures and injected worker crashes are retried with capped
+// exponential backoff, and an attempt that outlives its deadline stops
+// between blocks and is retried the same way. Output bytes are unchanged
+// by any recovered fault; see docs/robustness.md.
 // Bad bounds or input (NaN/Inf, ε too small) throw kInvalidArgument and a
 // bad stream kCorruptData, neither retried; see docs/engine.md.
 #pragma once

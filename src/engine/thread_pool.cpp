@@ -14,7 +14,6 @@ ThreadPool::ThreadPool(u32 threads, std::size_t queue_capacity,
                                 : 2 * std::max<u32>(1, threads)) {
   CERESZ_CHECK(threads >= 1, "ThreadPool: need at least one worker");
   busy_seconds_.assign(threads, 0.0);
-  alive_.store(threads, std::memory_order_release);
   workers_.reserve(threads);
   for (u32 i = 0; i < threads; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
@@ -65,11 +64,9 @@ bool ThreadPool::try_submit(std::function<void()> task) {
 bool ThreadPool::run_one_inline() {
   auto task = queue_.try_pop();
   if (!task) return false;
-  const obs::TraceContextScope scope(task->ctx);
-  try {
+  {
+    const obs::TraceContextScope scope(task->ctx);
     (task->fn)();
-  } catch (const WorkerCrash&) {
-    // The caller's thread is only borrowed; a crash here kills nothing.
   }
   std::lock_guard lock(state_mutex_);
   if (--in_flight_ == 0) idle_.notify_all();
@@ -110,7 +107,6 @@ void ThreadPool::run_tasks(u32 index) {
                        static_cast<i64>(queue_.depth()));
     }
     const u64 start_ns = now_ns();
-    bool crashed = false;
     {
       // The submitter's trace context wraps the busy span too, so the
       // "task" wrapper itself carries the request's trace id.
@@ -118,23 +114,13 @@ void ThreadPool::run_tasks(u32 index) {
       // The busy span and busy_seconds_ bracket the same region, so the
       // trace's task spans account for (cover) the measured busy time.
       obs::SpanGuard span(tracer_, "task", "pool");
-      try {
-        (task->fn)();
-      } catch (const WorkerCrash&) {
-        crashed = true;
-      }
+      (task->fn)();
     }
     const f64 elapsed = static_cast<f64>(now_ns() - start_ns) * 1e-9;
     {
       std::lock_guard lock(state_mutex_);
       busy_seconds_[index] += elapsed;
       if (--in_flight_ == 0) idle_.notify_all();
-    }
-    if (crashed) {
-      if (tracer_) tracer_->instant("worker.crash", "pool");
-      crashed_.fetch_add(1, std::memory_order_acq_rel);
-      alive_.fetch_sub(1, std::memory_order_acq_rel);
-      return;  // this worker is gone; survivors keep draining the queue
     }
   }
 }

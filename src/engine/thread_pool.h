@@ -2,18 +2,12 @@
 //
 // submit() applies backpressure: it blocks until a queue slot frees up, so
 // a fast producer cannot buffer an unbounded number of pending tasks.
-// Tasks must not throw — the engine wraps its chunk work in try/catch and
-// records the first exception itself, because a task failure must not tear
-// down the pool while sibling chunks are still in flight. The one sanctioned
-// exception is WorkerCrash: a task that throws it takes its worker thread
-// down with it (modeling a crashed worker), which the pool survives — the
-// remaining workers keep draining the queue, and alive() reports how many
-// are left so callers can fall back to inline execution once the pool has
-// collapsed.
+// Tasks must not throw: every submitter catches its own failures (the
+// ChunkRunner's attempt wrapper, the engine's min/max pass, WaferSimulator
+// bands), because a task failure must not tear down the pool while sibling
+// tasks are still in flight.
 #pragma once
 
-#include <atomic>
-#include <exception>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -24,17 +18,6 @@
 #include "obs/trace_context.h"
 
 namespace ceresz::engine {
-
-/// Thrown by a task to kill the worker executing it (fault injection and
-/// genuinely unrecoverable per-thread state). The pool counts the crash and
-/// carries on with one fewer worker; the task itself is considered finished
-/// (failed) — record any per-task outcome before throwing.
-class WorkerCrash : public std::exception {
- public:
-  const char* what() const noexcept override {
-    return "worker thread crashed";
-  }
-};
 
 class ThreadPool {
  public:
@@ -52,9 +35,9 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Enqueue a task, blocking while the queue is full. Must not be called
-  /// after the destructor has begun. Unsafe once the pool may have
-  /// collapsed (alive() == 0): nothing would ever free a queue slot — use
-  /// try_submit() + run_one_inline() there.
+  /// after the destructor has begun, nor from one of this pool's own tasks
+  /// (a full queue would wait on itself) — use try_submit() +
+  /// run_one_inline() there.
   ///
   /// The submitter's ambient obs::TraceContext is captured with the task
   /// and re-installed around its execution (worker or inline), so spans
@@ -67,26 +50,14 @@ class ThreadPool {
   bool try_submit(std::function<void()> task);
 
   /// Pop one queued task and execute it on the calling thread. Returns
-  /// false when the queue was empty. A WorkerCrash thrown by the task is
-  /// swallowed (the "worker" is the borrowed caller; there is no thread to
-  /// kill). This is how callers drain the queue after the pool collapses —
-  /// and how they make progress while it is merely saturated.
+  /// false when the queue was empty. This is how a submitter makes
+  /// progress while the pool is saturated instead of blocking on it.
   bool run_one_inline();
 
-  /// Block until every submitted task has finished executing. Do not call
-  /// when the pool may have collapsed with tasks still queued — drain via
-  /// run_one_inline() first.
+  /// Block until every submitted task has finished executing.
   void wait_idle();
 
   u32 size() const { return static_cast<u32>(workers_.size()); }
-
-  /// Workers still running (not crashed). 0 = the pool has collapsed.
-  u32 alive() const { return alive_.load(std::memory_order_acquire); }
-
-  /// Workers lost to WorkerCrash so far.
-  u32 crashed_workers() const {
-    return crashed_.load(std::memory_order_acquire);
-  }
 
   /// Tasks queued but not yet started.
   std::size_t queue_depth() const { return queue_.depth(); }
@@ -112,8 +83,6 @@ class ThreadPool {
   BoundedQueue<PoolTask> queue_;
   std::vector<std::thread> workers_;
   std::vector<f64> busy_seconds_;  // one slot per worker, owner-written
-  std::atomic<u32> alive_{0};
-  std::atomic<u32> crashed_{0};
 
   // in_flight_ counts submitted-but-unfinished tasks; idle_ fires when it
   // reaches zero. The mutex also orders busy_seconds_ writes (made before

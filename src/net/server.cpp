@@ -447,8 +447,8 @@ struct ServiceServer::Impl {
   }
 
   /// Engine options for one request: metrics flow into the server
-  /// registry, and with a deadline the per-attempt watchdog is clamped
-  /// to the remaining budget so a wedged chunk is cancelled through its
+  /// registry, and with a deadline the per-attempt deadline is clamped
+  /// to the remaining budget, so a wedged chunk times out through its
   /// CancelToken instead of wedging the connection.
   engine::EngineOptions engine_options(u64 deadline_ns) const {
     engine::EngineOptions eopt = options_.engine;

@@ -23,9 +23,9 @@
 // default). The clock starts at frame arrival; a request whose deadline
 // passed while queued is answered DEADLINE_EXPIRED without touching the
 // engine, and one that makes it to a worker runs with the engine's
-// per-attempt watchdog clamped to the remaining budget — the watchdog
-// cancels a slow or wedged chunk through its CancelToken, so one bad
-// chunk can never wedge the connection (see engine/chunk_runner.h).
+// per-attempt deadline clamped to the remaining budget — each attempt's
+// CancelToken expires with it, so a slow or wedged chunk stops and the
+// connection is never wedged (see engine/chunk_runner.h).
 //
 // Hostile-peer hardening: io_timeout_ms bounds every socket read and
 // write per call (a slow-loris peer dribbling header bytes, or one that

@@ -120,10 +120,9 @@ RunStats WaferSimulator::run() {
       remaining_ = groups_.size();
     }
     for (std::size_t i = 0; i < groups_.size(); ++i) {
-      // Never the blocking submit(): a full queue (or a collapsed pool)
-      // means this thread runs the band itself, so sharing a pool with
-      // other submitters — including being *called from* one of its
-      // tasks — cannot deadlock.
+      // Never the blocking submit(): a full queue means this thread runs
+      // the band itself, so sharing a pool with other submitters —
+      // including being *called from* one of its tasks — cannot deadlock.
       if (!pool->try_submit([this, i] { run_group_task(i); })) {
         run_group_task(i);
       }

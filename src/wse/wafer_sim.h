@@ -25,7 +25,8 @@
 // helps drain the queue via run_one_inline(), so sharing a pool with the
 // compression engine (or invoking a simulation from inside a pool task,
 // as the tenant coordinator's request paths do) cannot deadlock, even on
-// a 1-worker pool. test_wafer_sim regression-tests exactly that.
+// a 1-worker pool. Band tasks catch their own errors, as the pool
+// requires. test_wafer_sim regression-tests exactly that.
 //
 // Fault storms: each band consults the full FaultPlan in global
 // coordinates, so a cross-row fault storm is exactly simulable — no

@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <string>
 #include <thread>
 
@@ -537,6 +539,48 @@ TEST(ThreadPool, RunsEveryTaskAndReportsBusyTime) {
   EXPECT_EQ(pool.busy_seconds().size(), 4u);
   EXPECT_GE(pool.queue_high_water(), 1u);
   EXPECT_LE(pool.queue_high_water(), 2u);
+}
+
+TEST(ThreadPool, TrySubmitFailsWhenFullAndRunOneInlineDrains) {
+  // The help-drain protocol that ChunkRunner and WaferSimulator rely on
+  // to share a pool without ever blocking on it.
+  ThreadPool pool(2, 3);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<int> blocked{0};
+  for (int i = 0; i < 2; ++i) {
+    pool.submit([&] {
+      ++blocked;
+      std::unique_lock lock(mu);
+      cv.wait(lock, [&] { return release; });
+    });
+  }
+  while (blocked.load() < 2) std::this_thread::yield();
+
+  // Both workers are held: the queue fills, then refuses.
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> ran_on_caller{0};
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(pool.try_submit([&] {
+      if (std::this_thread::get_id() == caller) ++ran_on_caller;
+    }));
+  }
+  EXPECT_FALSE(pool.try_submit([] {}));
+  EXPECT_EQ(pool.queue_depth(), 3u);
+
+  // The caller drains the queue on its own thread, then finds it empty.
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(pool.run_one_inline());
+  EXPECT_EQ(ran_on_caller.load(), 3);
+  EXPECT_FALSE(pool.run_one_inline());
+
+  {
+    std::lock_guard lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  pool.wait_idle();
+  EXPECT_EQ(pool.queue_depth(), 0u);
 }
 
 TEST(ThreadPool, WaitIdleIsReusable) {

@@ -1,25 +1,23 @@
 // Chaos suite: drives the fault-injection and fault-tolerance layer across
 // all three tiers — the WSE fabric (dead/slow PEs, dropped and corrupted
 // bursts), the wafer mapper (routing around dead PEs, degraded placement),
-// and the host engine (retries, crashes, pool collapse, watchdog,
-// quarantine). Every fault schedule is fixed-seed and explicit, so each
-// run observes the same faults; the headline assertions are that output
-// bytes are identical to the fault-free run whenever the faults are
-// recoverable, and that unrecoverable ones surface as structured
-// ceresz::Error — never a crash or a hang.
+// and the host engine (retries, crashes, deadlines, quarantine). Every
+// fault schedule is fixed-seed and explicit, so each run observes the
+// same faults; the headline assertions are that output bytes are
+// identical to the fault-free run whenever the faults are recoverable,
+// and that unrecoverable ones surface as structured ceresz::Error —
+// never a crash or a hang.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <limits>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "core/stream_codec.h"
 #include "engine/parallel_engine.h"
-#include "engine/thread_pool.h"
 #include "io/chunk_container.h"
 #include "mapping/report.h"
 #include "mapping/wafer_mapper.h"
@@ -341,55 +339,7 @@ TEST(MapperFaults, SameFaultPlanSameScheduleSameCounters) {
 }
 
 // ---------------------------------------------------------------------
-// ThreadPool: crash and collapse mechanics
-// ---------------------------------------------------------------------
-
-TEST(ThreadPoolFaults, WorkerCrashShrinksThePool) {
-  engine::ThreadPool pool(2, 4);
-  pool.submit([] { throw engine::WorkerCrash{}; });
-  pool.wait_idle();
-  // alive() is decremented just after the crashing task is accounted for.
-  for (int i = 0; i < 2000 && pool.alive() != 1; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(pool.alive(), 1u);
-  EXPECT_EQ(pool.crashed_workers(), 1u);
-  // The survivor still serves work.
-  std::atomic<bool> ran{false};
-  pool.submit([&] { ran = true; });
-  pool.wait_idle();
-  EXPECT_TRUE(ran);
-}
-
-TEST(ThreadPoolFaults, CollapsedPoolDrainsInline) {
-  engine::ThreadPool pool(2, 8);
-  pool.submit([] { throw engine::WorkerCrash{}; });
-  pool.submit([] { throw engine::WorkerCrash{}; });
-  pool.wait_idle();
-  for (int i = 0; i < 2000 && pool.alive() != 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(pool.alive(), 0u);
-  EXPECT_EQ(pool.crashed_workers(), 2u);
-
-  // With no workers left, queued tasks only run via the caller.
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(pool.try_submit([&] { ++ran; }));
-  }
-  while (pool.run_one_inline()) {
-  }
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 5);
-  // A crash thrown inline is swallowed: nothing else dies.
-  ASSERT_TRUE(pool.try_submit([] { throw engine::WorkerCrash{}; }));
-  EXPECT_TRUE(pool.run_one_inline());
-  pool.wait_idle();
-  EXPECT_EQ(pool.crashed_workers(), 2u);
-}
-
-// ---------------------------------------------------------------------
-// Engine layer: retries, watchdog, quarantine, graceful degradation
+// Engine layer: retries, crashes, deadlines, quarantine
 // ---------------------------------------------------------------------
 
 engine::EngineOptions engine_options(u32 threads) {
@@ -501,7 +451,7 @@ TEST(EngineFaults, TimedOutChunksFailWithTheDeadlineKind) {
   const auto [what, kind] = expect_error(
       [&] { engine::ParallelEngine(opt).compress(data, kBound); });
   EXPECT_EQ(kind, ErrorKind::kDeadline) << what;
-  EXPECT_GE(reg.counter(engine::kMetricTimeouts).value(),
+  EXPECT_EQ(reg.counter(engine::kMetricTimeouts).value(),
             opt.retry.max_attempts);
 }
 
@@ -510,9 +460,9 @@ TEST(EngineFaults, CrashedWorkersDoNotChangeTheBytes) {
   const auto clean =
       engine::ParallelEngine(engine_options(2)).compress(data, kBound);
 
-  // Every chunk's first attempt takes its worker down (or is swallowed
-  // when run inline); the pool collapses and the run degrades to inline
-  // execution — output bytes must not change.
+  // Every chunk's first attempt crashes: each crash loses only its
+  // attempt, the workers carry on, and every chunk is retried once —
+  // output bytes must not change.
   engine::EngineOptions opt = engine_options(2);
   for (u64 c = 0; c < 8; ++c) opt.faults.crash_chunk(c, 0);
   const auto faulty = engine::ParallelEngine(opt).compress(data, kBound);
@@ -538,8 +488,40 @@ TEST(EngineFaults, WatchdogCancelsStalledChunks) {
   EXPECT_EQ(faulty.stream, clean.stream);
   EXPECT_GE(faulty.stats.timeouts, 1u);
   EXPECT_GE(faulty.stats.retries, 1u);
-  // The watchdog, not the stall, bounds the run.
+  // The deadline, not the stall, bounds the run.
   EXPECT_LT(elapsed, std::chrono::seconds(5));
+}
+
+TEST(EngineFaults, ADeadlineAddsNoLatency) {
+  // A deadline is a time each attempt compares against the clock: setting
+  // one must not slow down a call that finishes well within it.
+  const auto data = test::smooth_signal(16384);
+  engine::EngineOptions opt;
+  opt.threads = 2;
+  opt.chunk_elems = 16384;  // one chunk
+  const engine::ParallelEngine plain(opt);
+  opt.retry.deadline_ms = 4000;
+  const engine::ParallelEngine deadlined(opt);
+
+  const auto reference = plain.compress(data, kBound).stream;
+  std::vector<f64> plain_ms, deadline_ms;
+  auto timed = [&](const engine::ParallelEngine& eng, std::vector<f64>& ms) {
+    const auto start = std::chrono::steady_clock::now();
+    const auto stream = eng.compress(data, kBound).stream;
+    ms.push_back(std::chrono::duration<f64, std::milli>(
+                     std::chrono::steady_clock::now() - start)
+                     .count());
+    EXPECT_EQ(stream, reference);
+  };
+  for (int i = 0; i < 10; ++i) {
+    timed(plain, plain_ms);
+    timed(deadlined, deadline_ms);
+  }
+  const f64 plain_p50 = test::median(plain_ms);
+  const f64 deadline_p50 = test::median(deadline_ms);
+  EXPECT_LE(deadline_p50, 2.0 * plain_p50 + 1.0)
+      << "no deadline: " << plain_p50 << " ms, deadline: " << deadline_p50
+      << " ms";
 }
 
 TEST(EngineFaults, CorruptChunkIsQuarantinedWithoutWastedRetries) {

@@ -617,8 +617,8 @@ TEST(Exporters, DeclaredFamiliesCoverEngineFabricAndMapper) {
   for (const char* name :
        {engine::kMetricChunks, engine::kMetricRetries,
         engine::kMetricTimeouts, engine::kMetricWorkerCrashes,
-        engine::kMetricFallbackChunks, engine::kMetricQuarantined,
-        engine::kMetricThreads, engine::kMetricWallSeconds,
+        engine::kMetricQuarantined, engine::kMetricThreads,
+        engine::kMetricWallSeconds,
         engine::kMetricChunkSeconds, wse::kMetricFabricTasks,
         wse::kMetricFabricSent, wse::kMetricFabricReceived,
         wse::kMetricFabricRelayed, wse::kMetricFabricBusyCycles,

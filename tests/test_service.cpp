@@ -414,8 +414,8 @@ TEST(Service, ShedsLoadWithBusyWhenInflightLimitIsReached) {
 
 TEST(Service, DeadlineExpiryProducesAnErrorFrameNotAHang) {
   // Every attempt at the only chunk stalls for far longer than the
-  // request deadline: the engine watchdog (clamped to the remaining
-  // budget) cancels the attempts and the client gets DEADLINE_EXPIRED.
+  // request deadline: each attempt's deadline (clamped to the remaining
+  // budget) times it out and the client gets DEADLINE_EXPIRED.
   ServerOptions opt = test_server(/*workers=*/1);
   opt.engine.chunk_elems = 65536;
   opt.engine.faults.stall_chunk(0, /*attempts=*/3);
@@ -444,6 +444,38 @@ TEST(Service, DeadlineExpiryProducesAnErrorFrameNotAHang) {
   // attempt 0 again — so give this one room to outlive one stall).
   const auto ok = client.compress(data, core::ErrorBound::absolute(1e-3));
   EXPECT_FALSE(ok.empty());
+}
+
+TEST(Service, ARequestDeadlineAddsNoLatency) {
+  // A deadline the request easily meets must not slow it down: the engine
+  // compares each attempt's expiry against the clock instead of waiting
+  // on a helper thread.
+  ServiceServer server(test_server());
+  server.start();
+  CereszClient client;
+  client.connect("127.0.0.1", server.port());
+  const auto data = test::smooth_signal(16384);
+  const auto bound = core::ErrorBound::absolute(1e-3);
+  const std::vector<u8> reference = client.compress(data, bound);
+
+  std::vector<f64> plain_ms, deadline_ms;
+  auto timed = [&](u32 request_deadline_ms, std::vector<f64>& ms) {
+    const u64 t0 = now_ns();
+    const std::vector<u8> stream =
+        client.compress(data, bound, request_deadline_ms);
+    ms.push_back(static_cast<f64>(now_ns() - t0) * 1e-6);
+    EXPECT_EQ(stream, reference);
+  };
+  for (int i = 0; i < 20; ++i) {
+    timed(0, plain_ms);
+    timed(2000, deadline_ms);
+  }
+  const f64 plain_p50 = test::median(plain_ms);
+  const f64 deadline_p50 = test::median(deadline_ms);
+  EXPECT_LE(deadline_p50, 2.0 * plain_p50 + 2.0)
+      << "no deadline: " << plain_p50 << " ms, deadline: " << deadline_p50
+      << " ms";
+  EXPECT_EQ(server.metrics().counter(kMetricErrorResponses).value(), 0u);
 }
 
 TEST(Service, CorruptStreamGetsTypedErrorAndConnectionSurvives) {

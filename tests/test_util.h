@@ -1,6 +1,7 @@
 // Shared helpers for the CereSZ test suite.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <span>
@@ -65,6 +66,13 @@ inline f64 f32_ulp_slack(std::span<const f32> data) {
   for (f32 v : data) amax = std::max(amax, std::fabs(v));
   const f32 next = std::nextafter(amax, 4.0f * amax + 1.0f);
   return (static_cast<f64>(next) - amax) / 2.0;
+}
+
+/// The median of `samples` (the upper middle one for an even count).
+inline f64 median(std::vector<f64> samples) {
+  const auto mid = samples.begin() + samples.size() / 2;
+  std::nth_element(samples.begin(), mid, samples.end());
+  return *mid;
 }
 
 /// The kind of the ceresz::Error `fn` throws; nullopt if it returns.

@@ -147,13 +147,10 @@ void write_stats_json(const std::string& path,
                 static_cast<unsigned long long>(s.retries));
   os << buf;
   std::snprintf(buf, sizeof(buf),
-                "  \"timeouts\": %llu,\n  \"worker_crashes\": %llu,\n",
+                "  \"timeouts\": %llu,\n  \"worker_crashes\": %llu,\n"
+                "  \"quarantined\": %llu,\n",
                 static_cast<unsigned long long>(s.timeouts),
-                static_cast<unsigned long long>(s.worker_crashes));
-  os << buf;
-  std::snprintf(buf, sizeof(buf),
-                "  \"fallback_chunks\": %llu,\n  \"quarantined\": %llu,\n",
-                static_cast<unsigned long long>(s.fallback_chunks),
+                static_cast<unsigned long long>(s.worker_crashes),
                 static_cast<unsigned long long>(s.quarantined));
   os << buf;
   os << "  \"worker_busy_seconds\": [";
