@@ -4,7 +4,9 @@
 # references (flenc, prequant, block codec, checksum, and the dispatch
 # differential test, where an unaligned vector load or store past a
 # buffer would show), the fault-injection chaos suite, the
-# observability registry/tracer suite, the network service suite
+# observability registry/tracer suite, the live telemetry plane (the
+# /metrics and /tracez endpoint reading tracer rings that server
+# threads are writing), the network service suite
 # (reader/worker threads, BufferPool, shutdown paths), the network
 # chaos suite (ChaosProxy relay threads, client retry loop, drain), the
 # tenant coordinator suite (mutex-guarded lease bookkeeping racing
@@ -44,9 +46,9 @@ cmake -B "$BUILD_DIR" -S . \
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
   --target test_engine test_checksum test_flenc test_prequant \
   test_block_codec test_kernels_dispatch test_fault_injection test_obs \
-  test_service test_chaos test_tenant test_wafer_sim test_baselines \
-  test_archive test_huffman test_robustness test_format_pins test_cli \
-  test_common
+  test_observability test_service test_chaos test_tenant test_wafer_sim \
+  test_baselines test_archive test_huffman test_robustness \
+  test_format_pins test_cli test_common
 
 cd "$BUILD_DIR"
 if [ "$MODE" = "thread" ]; then
@@ -57,5 +59,5 @@ fi
 # A hang fails the run instead of stalling it: the longest test here
 # takes about 12 s under TSan.
 ctest --output-on-failure --timeout 300 \
-  -R '^test_(engine|checksum|flenc|prequant|block_codec|kernels_dispatch|fault_injection|obs|service|chaos|tenant|wafer_sim|baselines|archive|huffman|robustness|format_pins|cli|common)$'
+  -R '^test_(engine|checksum|flenc|prequant|block_codec|kernels_dispatch|fault_injection|obs|observability|service|chaos|tenant|wafer_sim|baselines|archive|huffman|robustness|format_pins|cli|common)$'
 echo "${MODE} sanitizer tests passed."

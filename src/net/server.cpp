@@ -15,7 +15,6 @@
 #include "net/buffer_pool.h"
 #include "net/socket.h"
 #include "obs/log.h"
-#include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
 #include "tenant/coordinator.h"
@@ -515,7 +514,7 @@ struct ServiceServer::Impl {
       if (options_.tracer != nullptr) {
         obs::TraceEvent ev;
         ev.name = "server.request";
-        ev.cat = "server";
+        ev.cat = status;  // the reply's status, which /tracez shows
         ev.ts_ns = options_.tracer->to_rel_ns(req.arrival_ns);
         ev.dur_ns = total_ns;
         ev.arg1_name = "request_id";
@@ -526,17 +525,6 @@ struct ServiceServer::Impl {
         ev.span_id = root_span;
         ev.parent_span_id = trace.parent_span_id;
         options_.tracer->record(ev);
-      }
-      if (options_.span_log != nullptr) {
-        obs::SpanRecord rec;
-        rec.trace_id = trace.trace_id;
-        rec.request_id = id;
-        rec.tenant_id = tag.tenant_id;
-        rec.name = opcode_name(op);
-        rec.status = status;
-        rec.ts_ns = req.arrival_ns;
-        rec.dur_ns = total_ns;
-        options_.span_log->push(rec);
       }
       if (coordinator_ != nullptr && tag.tenant_id != 0) {
         // Per-tenant accounting next to the coordinator's lease

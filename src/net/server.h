@@ -58,7 +58,6 @@ class WaferCoordinator;
 
 namespace ceresz::obs {
 class Logger;
-class SpanLog;
 class Tracer;
 }  // namespace ceresz::obs
 
@@ -170,17 +169,14 @@ struct ServerOptions {
   /// context from the v4 frame header (v3 and zero-trace requests get a
   /// synthesized server-side trace id). The per-request engine runs
   /// record into the same tracer, so chunk spans inherit the trace id.
+  /// The "server.request" root carries the reply's status_name() as its
+  /// category; the telemetry endpoint's /tracez renders these roots.
   obs::Tracer* tracer = nullptr;
 
   /// Structured JSON-lines log for server lifecycle and error paths
   /// (replaces ad-hoc stderr prints). Null disables. Must outlive the
   /// server.
   obs::Logger* logger = nullptr;
-
-  /// Recent-span ring fed with one record per completed request, served
-  /// by the telemetry endpoint's /tracez. Null disables. Must outlive
-  /// the server.
-  obs::SpanLog* span_log = nullptr;
 
   /// Multi-tenant wafer coordination (docs/tenancy.md). When enabled,
   /// COMPRESS/DECOMPRESS frames carrying a nonzero tenant id (CSNP v3)

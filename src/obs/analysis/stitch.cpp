@@ -5,6 +5,8 @@
 #include <map>
 #include <set>
 
+#include "obs/log.h"
+
 namespace ceresz::obs::analysis {
 
 namespace {
@@ -273,21 +275,6 @@ std::vector<HistoryRecord> stitch_history_records(const StitchReport& report) {
 
 namespace {
 
-void append_json_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) >= 0x20) {
-      out += c;
-    } else {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    }
-  }
-  out += '"';
-}
-
 void append_span_event(std::string& out, const Span& s, u32 pid,
                        i64 shift_ns, bool& first) {
   if (!first) out += ",\n";
@@ -295,9 +282,9 @@ void append_span_event(std::string& out, const Span& s, u32 pid,
   const i64 ts = static_cast<i64>(s.ts_ns) + shift_ns;
   char buf[160];
   out += "{\"name\": ";
-  append_json_escaped(out, s.name);
+  append_json_string(out, s.name);
   out += ", \"cat\": ";
-  append_json_escaped(out, s.cat.empty() ? std::string("trace") : s.cat);
+  append_json_string(out, s.cat.empty() ? std::string("trace") : s.cat);
   std::snprintf(buf, sizeof(buf),
                 ", \"ph\": \"%c\", \"pid\": %u, \"tid\": %u, \"ts\": %.3f",
                 s.phase, pid, s.tid,
@@ -314,7 +301,7 @@ void append_span_event(std::string& out, const Span& s, u32 pid,
     for (const auto& [k, v] : s.args) {
       if (!first_arg) out += ", ";
       first_arg = false;
-      append_json_escaped(out, k);
+      append_json_string(out, k);
       std::snprintf(buf, sizeof(buf), ": %lld",
                     static_cast<long long>(v));
       out += buf;
@@ -338,7 +325,7 @@ void append_meta_event(std::string& out, const char* what, u32 pid, u32 tid,
     out += buf;
   }
   out += ", \"args\": {\"name\": ";
-  append_json_escaped(out, name);
+  append_json_string(out, name);
   out += "}}";
 }
 

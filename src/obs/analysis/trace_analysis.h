@@ -60,8 +60,8 @@ struct TraceData {
 /// format" obs::Tracer writes). Throws ceresz::Error on malformed input.
 TraceData load_chrome_trace(std::string_view json_text);
 
-/// Snapshot a live tracer (recording must be quiescent, same contract as
-/// Tracer::snapshot_events()).
+/// Snapshot a tracer (safe while it records, as
+/// Tracer::snapshot_events() is).
 TraceData from_tracer(const Tracer& tracer);
 
 // ---------------------------------------------------------------------------

@@ -9,12 +9,9 @@
 
 namespace ceresz::obs {
 
-namespace {
-
-void append_json_string(std::string& out, const char* s) {
+void append_json_string(std::string& out, std::string_view s) {
   out += '"';
-  for (const char* p = s; *p; ++p) {
-    const char c = *p;
+  for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -32,8 +29,6 @@ void append_json_string(std::string& out, const char* s) {
   }
   out += '"';
 }
-
-}  // namespace
 
 const char* log_level_name(LogLevel level) {
   switch (level) {

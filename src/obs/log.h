@@ -20,6 +20,7 @@
 #include <iosfwd>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.h"
@@ -29,6 +30,10 @@ namespace ceresz::obs {
 enum class LogLevel : u8 { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
 const char* log_level_name(LogLevel level);
+
+/// Append `s` to `out` as a quoted JSON string: the one escaping used by
+/// log lines, metrics and trace exports, the stitcher and /tracez.
+void append_json_string(std::string& out, std::string_view s);
 
 /// One key/value pair of a structured record. Values keep their JSON
 /// type: strings are escaped+quoted, integers and floats emitted bare.

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "common/error.h"
+#include "obs/log.h"
 
 namespace ceresz::obs {
 
@@ -202,28 +203,6 @@ void MetricsRegistry::accumulate(const MetricsSnapshot& snap) {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string fmt_double(f64 v) {
   if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
   char buf[64];
@@ -239,8 +218,9 @@ std::string to_json(const MetricsSnapshot& snap) {
   for (const auto& c : snap.counters) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + json_escape(c.name) +
-           "\": " + std::to_string(c.value);
+    out += "    ";
+    append_json_string(out, c.name);
+    out += ": " + std::to_string(c.value);
   }
   out += first ? "},\n" : "\n  },\n";
   out += "  \"gauges\": {";
@@ -251,7 +231,9 @@ std::string to_json(const MetricsSnapshot& snap) {
     // JSON has no Inf/NaN literals; clamp them to null.
     const std::string v =
         std::isfinite(g.value) ? fmt_double(g.value) : "null";
-    out += "    \"" + json_escape(g.name) + "\": " + v;
+    out += "    ";
+    append_json_string(out, g.name);
+    out += ": " + v;
   }
   out += first ? "},\n" : "\n  },\n";
   out += "  \"histograms\": {";
@@ -259,7 +241,9 @@ std::string to_json(const MetricsSnapshot& snap) {
   for (const auto& h : snap.histograms) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + json_escape(h.name) + "\": {\"buckets\": [";
+    out += "    ";
+    append_json_string(out, h.name);
+    out += ": {\"buckets\": [";
     for (std::size_t i = 0; i < h.counts.size(); ++i) {
       if (i > 0) out += ", ";
       const std::string le =

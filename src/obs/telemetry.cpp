@@ -8,37 +8,20 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
+#include <string>
+#include <string_view>
+#include <unordered_map>
+#include <vector>
 
 #include "common/error.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace ceresz::obs {
 
 namespace {
-
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
 
 /// Write all of `data`, tolerating short writes; best effort (the
 /// scraper may have gone away — that is its problem, not ours).
@@ -71,70 +54,64 @@ std::string http_response(int code, const char* reason,
   return out;
 }
 
-}  // namespace
+/// Requests /tracez shows: the most recent server.request roots.
+constexpr std::size_t kTracezRequests = 256;
 
-// ---------------------------------------------------------------------------
-// SpanLog
-// ---------------------------------------------------------------------------
-
-SpanLog::SpanLog(std::size_t capacity) : slots_(capacity) {
-  CERESZ_CHECK(capacity >= 1, "SpanLog: capacity must be at least 1");
+/// The children of a server.request root that /tracez lists: the
+/// server's phases and the engine run, whose name gives the op.
+bool is_tracez_phase(std::string_view name) {
+  return name == "server.queue_wait" || name == "server.decode" ||
+         name == "server.engine" || name == "server.encode" ||
+         name == "server.write" || name == "engine.compress" ||
+         name == "engine.decompress";
 }
 
-void SpanLog::push(SpanRecord rec) {
-  std::lock_guard lock(mu_);
-  slots_[count_ % slots_.size()] = std::move(rec);
-  ++count_;
-}
-
-std::vector<SpanRecord> SpanLog::snapshot() const {
-  std::lock_guard lock(mu_);
-  const u64 cap = slots_.size();
-  const u64 start = count_ > cap ? count_ - cap : 0;
-  std::vector<SpanRecord> out;
-  out.reserve(static_cast<std::size_t>(count_ - start));
-  for (u64 k = start; k < count_; ++k) {
-    out.push_back(slots_[k % cap]);
+/// {"dropped_events":N,"requests":[...]}: each server.request root
+/// (status in its category, request and tenant id in its two args, as
+/// net/server.cpp records it) with its phase spans, oldest first.
+std::string tracez_json(const Tracer& tracer) {
+  const std::vector<TraceEvent> events = tracer.snapshot_events();
+  std::vector<const TraceEvent*> roots;
+  for (const TraceEvent& ev : events) {
+    if (std::string_view(ev.name) == "server.request") roots.push_back(&ev);
   }
-  return out;
-}
-
-u64 SpanLog::pushed() const {
-  std::lock_guard lock(mu_);
-  return count_;
-}
-
-std::string SpanLog::to_json() const {
-  const std::vector<SpanRecord> recs = snapshot();
-  std::string out = "{\"pushed\":";
-  {
-    std::lock_guard lock(mu_);
-    out += std::to_string(count_);
+  if (roots.size() > kTracezRequests) {
+    roots.erase(roots.begin(), roots.end() - kTracezRequests);
   }
-  out += ",\"spans\":[";
-  bool first = true;
-  for (const SpanRecord& r : recs) {
-    if (!first) out += ',';
-    first = false;
-    out += "\n{\"trace_id\":";
-    out += std::to_string(r.trace_id);
-    out += ",\"request_id\":";
-    out += std::to_string(r.request_id);
-    out += ",\"tenant_id\":";
-    out += std::to_string(r.tenant_id);
-    out += ",\"name\":";
-    append_json_string(out, r.name);
-    out += ",\"status\":";
-    append_json_string(out, r.status);
-    out += ",\"ts_ns\":";
-    out += std::to_string(r.ts_ns);
-    out += ",\"dur_ns\":";
-    out += std::to_string(r.dur_ns);
-    out += '}';
+  std::unordered_map<u64, std::vector<const TraceEvent*>> phases;
+  for (const TraceEvent* root : roots) phases[root->span_id];
+  for (const TraceEvent& ev : events) {
+    if (ev.parent_span_id == 0 || !is_tracez_phase(ev.name)) continue;
+    const auto it = phases.find(ev.parent_span_id);
+    if (it != phases.end()) it->second.push_back(&ev);
+  }
+
+  std::string out = "{\"dropped_events\":" +
+                    std::to_string(tracer.events_dropped()) + ",\"requests\":[";
+  const char* sep = "\n";
+  for (const TraceEvent* root : roots) {
+    out += sep;
+    sep = ",\n";
+    out += "{\"trace_id\":" + std::to_string(root->trace_id) +
+           ",\"request_id\":" + std::to_string(root->arg1) +
+           ",\"tenant_id\":" + std::to_string(root->arg2) + ",\"status\":";
+    append_json_string(out, root->cat);
+    out += ",\"ts_ns\":" + std::to_string(root->ts_ns) +
+           ",\"dur_ns\":" + std::to_string(root->dur_ns) + ",\"spans\":[";
+    const char* span_sep = "";
+    for (const TraceEvent* span : phases[root->span_id]) {
+      out += span_sep;
+      span_sep = ",";
+      out += "{\"name\":\"" + std::string(span->name) +
+             "\",\"dur_ns\":" + std::to_string(span->dur_ns) + "}";
+    }
+    out += "]}";
   }
   out += "\n]}\n";
   return out;
 }
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // TelemetryEndpoint
@@ -254,14 +231,17 @@ void TelemetryEndpoint::handle_connection(int fd) {
     return;
   }
   if (path == "/metrics" && options_.metrics != nullptr) {
+    if (options_.tracer != nullptr) {
+      export_trace_metrics(*options_.tracer, *options_.metrics);
+    }
     const std::string body = to_prometheus(options_.metrics->snapshot());
     write_all(fd, http_response(200, "OK",
                                 "text/plain; version=0.0.4", body));
     return;
   }
-  if (path == "/tracez" && options_.spans != nullptr) {
+  if (path == "/tracez" && options_.tracer != nullptr) {
     write_all(fd, http_response(200, "OK", "application/json",
-                                options_.spans->to_json()));
+                                tracez_json(*options_.tracer)));
     return;
   }
   write_all(fd,

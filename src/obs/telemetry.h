@@ -1,17 +1,16 @@
-// Live telemetry plane: a recent-span ring (SpanLog) and a tiny HTTP
-// endpoint (TelemetryEndpoint) that serves it next to the metrics
-// registry, so a running daemon can be inspected with nothing but curl:
+// Live telemetry plane: a tiny HTTP endpoint that serves the metrics
+// registry and the tracer's recent request spans, so a running daemon
+// can be inspected with nothing but curl:
 //
 //   GET /metrics  -> Prometheus text exposition of the live registry
+//                    (with the tracer's ring drops exported first)
 //   GET /healthz  -> 200 "ok" (503 "draining" once drain begins)
-//   GET /tracez   -> JSON dump of the most recent completed request
-//                    spans (trace id, request id, tenant, timing, status)
+//   GET /tracez   -> JSON dump of the most recent server.request roots
+//                    (trace id, request id, tenant, status, timing) and
+//                    their phase spans
 //
-// The Tracer's per-thread rings are single-writer and cannot be read
-// while the server records into them, so /tracez is fed by SpanLog — a
-// small mutex-guarded ring the server pushes one summary record into
-// per completed request. That keeps the live path safe and bounds the
-// dump size by construction.
+// /tracez reads the same Tracer rings the Chrome trace is written from;
+// the rings are safe to read while the server records (obs/trace.h).
 //
 // The listener is deliberately minimal: loopback-only POSIX sockets, a
 // poll loop with a stop flag, one request per connection, GET only. It
@@ -20,61 +19,25 @@
 #pragma once
 
 #include <atomic>
-#include <mutex>
-#include <string>
 #include <thread>
-#include <vector>
 
 #include "common/types.h"
 
 namespace ceresz::obs {
 
-class MetricsRegistry;
 class Logger;
-
-/// Summary of one completed request span, as shown by /tracez.
-struct SpanRecord {
-  u64 trace_id = 0;
-  u64 request_id = 0;
-  u32 tenant_id = 0;
-  std::string name;    ///< e.g. "server.request"
-  std::string status;  ///< "ok" or the error class
-  u64 ts_ns = 0;       ///< start, tracer-relative
-  u64 dur_ns = 0;
-};
-
-/// Thread-safe fixed-capacity ring of recently completed spans
-/// (drop-oldest). Unlike the Tracer rings this is safe to read while
-/// writers are active — /tracez depends on that.
-class SpanLog {
- public:
-  explicit SpanLog(std::size_t capacity = 256);
-
-  void push(SpanRecord rec);
-
-  /// Surviving records, oldest first.
-  std::vector<SpanRecord> snapshot() const;
-
-  /// Records ever pushed (monotonic).
-  u64 pushed() const;
-
-  /// {"spans":[...],"pushed":N} for /tracez.
-  std::string to_json() const;
-
- private:
-  mutable std::mutex mu_;
-  std::vector<SpanRecord> slots_;
-  u64 count_ = 0;
-};
+class MetricsRegistry;
+class Tracer;
 
 struct TelemetryOptions {
   u16 port = 0;  ///< 0 = kernel-assigned ephemeral port
   /// Scraped by /metrics. May be null (404 then). Must outlive the
   /// endpoint; snapshot() is safe against concurrent updates.
   MetricsRegistry* metrics = nullptr;
-  /// Dumped by /tracez. May be null (404 then). Must outlive the
-  /// endpoint.
-  SpanLog* spans = nullptr;
+  /// Rendered by /tracez. May be null (404 then). Must outlive the
+  /// endpoint. With `metrics` also set, each /metrics scrape first
+  /// exports the tracer's new ring drops.
+  Tracer* tracer = nullptr;
   /// Optional request/error log. Must outlive the endpoint.
   Logger* logger = nullptr;
 };

@@ -1,12 +1,19 @@
 // Tracer: RAII scoped spans and instant/counter events recorded into
 // per-thread ring buffers, exported as Chrome trace-event JSON (open the
-// file in Perfetto or chrome://tracing).
+// file in Perfetto or chrome://tracing). The tracer is the process's one
+// span store: the live /tracez endpoint (obs/telemetry.h) renders from
+// the same rings the trace file is written from.
 //
-// Hot path: recording an event is one index increment and one struct
-// store into the calling thread's own ring — no locks, no allocation
-// (event names are static strings; numeric context travels in two typed
-// args). A full ring drops its OLDEST event and counts the drop, so
-// memory stays bounded at `ring_capacity` events per thread.
+// Hot path: recording an event is one index increment and a run of
+// word stores into the calling thread's own ring — no locks, no
+// allocation (event names are static strings; numeric context travels
+// in two typed args). A full ring drops its OLDEST event and counts it.
+//
+// Memory is bounded by the peak number of LIVE recording threads: a
+// thread takes a ring when it first records and hands it back when it
+// exits, for the next new thread to reuse (old events stay until the
+// new owner wraps the ring). A ring's tid is thus a track that
+// successive threads share, never at overlapping times.
 //
 // Disabled overhead: every instrumentation site takes an `obs::Tracer*`
 // and does nothing when it is null — SpanGuard then skips even the
@@ -20,17 +27,18 @@
 // single file shows wall-clock host work next to a Fig. 10-style
 // per-PE cycle timeline.
 //
-// write_chrome_trace()/chrome_trace_json() must not race with recording:
-// flush after worker pools have been joined / runs have finished (the
-// engine, mapper, and CLI all do).
+// Readers (snapshot_events, chrome_trace_json, events_*) may run while
+// threads record; they see whole events only.
 #pragma once
 
 #include <atomic>
+#include <cstring>
 #include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.h"
@@ -73,29 +81,31 @@ struct TraceEvent {
   u64 parent_span_id = 0;
 };
 
-class TraceRing;
-
-namespace detail {
-/// Per-(tracer, thread) ring lookup cache entry (see trace.cpp).
-struct TraceTls {
-  u64 tracer_id = 0;
-  TraceRing* ring = nullptr;
-  u32 tid = 0;
-};
-}  // namespace detail
-
-/// Single-writer ring buffer of TraceEvents. The owning thread pushes;
-/// readers must wait for it to quiesce (drain_copy is NOT synchronized
-/// against a concurrent push).
+/// Single-writer ring buffer of TraceEvents; any thread may read while
+/// the writer pushes. A slot's sequence number is 2n+1 while lap n's
+/// words are stored and 2n+2 once they are whole, so a reader can tell
+/// a slot that was overwritten under it.
 class TraceRing {
  public:
-  explicit TraceRing(std::size_t capacity);
+  /// `tid`: the track id stamped on events that do not carry one.
+  explicit TraceRing(std::size_t capacity, u32 tid = 0);
 
   void push(const TraceEvent& ev) {
+    u64 w[kWords];
+    std::memcpy(w, &ev, sizeof(w));
     const u64 n = count_.load(std::memory_order_relaxed);
-    slots_[n % slots_.size()] = ev;
+    Slot& s = slots_[n % capacity_];
+    s.seq.store(2 * n + 1, std::memory_order_relaxed);
+    // Release: a reader that loads any of these words also sees the
+    // odd sequence number stored above.
+    for (std::size_t i = 0; i < kWords; ++i) {
+      s.words[i].store(w[i], std::memory_order_release);
+    }
+    s.seq.store(2 * n + 2, std::memory_order_release);
     count_.store(n + 1, std::memory_order_release);
   }
+
+  u32 tid() const { return tid_; }
 
   /// Events ever pushed (monotonic).
   u64 pushed() const { return count_.load(std::memory_order_acquire); }
@@ -103,20 +113,37 @@ class TraceRing {
   /// Events overwritten because the ring was full (drop-oldest).
   u64 dropped() const {
     const u64 n = pushed();
-    return n > slots_.size() ? n - slots_.size() : 0;
+    return n > capacity_ ? n - capacity_ : 0;
   }
 
-  /// Surviving events, oldest first.
+  /// Surviving events, oldest first. Safe against a concurrent push:
+  /// events pushed after the call began may be missing, and a slot
+  /// overwritten during the copy is skipped.
   std::vector<TraceEvent> drain_copy() const;
 
  private:
-  std::vector<TraceEvent> slots_;
+  static_assert(std::is_trivially_copyable_v<TraceEvent> &&
+                sizeof(TraceEvent) % sizeof(u64) == 0);
+  static constexpr std::size_t kWords = sizeof(TraceEvent) / sizeof(u64);
+
+  struct Slot {
+    std::atomic<u64> seq{0};
+    std::atomic<u64> words[kWords];
+  };
+
+  const std::size_t capacity_;
+  const u32 tid_;
+  std::unique_ptr<Slot[]> slots_;
   std::atomic<u64> count_{0};
 };
 
+namespace detail {
+struct TraceRingSet;  // the tracer's rings and free list (trace.cpp)
+}  // namespace detail
+
 class Tracer {
  public:
-  /// `ring_capacity`: events retained per recording thread.
+  /// `ring_capacity`: events retained per live recording thread.
   explicit Tracer(std::size_t ring_capacity = std::size_t{1} << 16);
 
   Tracer(const Tracer&) = delete;
@@ -133,8 +160,12 @@ class Tracer {
     return abs_ns > epoch_ns_ ? abs_ns - epoch_ns_ : 0;
   }
 
-  /// Small stable id of the calling thread within this tracer (>= 1).
+  /// Id of the calling thread's ring within this tracer (>= 1). Threads
+  /// that record one after another may share it; live threads never do.
   u32 thread_id();
+
+  /// Rings allocated: the peak number of threads holding one at once.
+  std::size_t rings() const;
 
   /// Record an event. A zero tid is replaced by the calling thread's
   /// id; ts/dur are taken as given (SpanGuard fills them for you).
@@ -154,35 +185,36 @@ class Tracer {
   u64 events_recorded() const;
   u64 events_dropped() const;
 
-  /// All surviving events, ts-sorted. Recording must be quiescent.
+  /// All surviving events, ts-sorted.
   std::vector<TraceEvent> snapshot_events() const;
 
   /// Chrome trace-event JSON (the "JSON object format": traceEvents +
-  /// metadata). Recording must be quiescent.
+  /// metadata).
   std::string chrome_trace_json() const;
   void write_chrome_trace(std::ostream& os) const;
 
  private:
-  const detail::TraceTls& local_entry();
+  friend void export_trace_metrics(Tracer& tracer, MetricsRegistry& reg);
 
-  const std::size_t ring_capacity_;
+  TraceRing& local_ring();
+
   const u64 id_;        ///< globally unique, for the thread-local cache
   const u64 epoch_ns_;
+  const std::shared_ptr<detail::TraceRingSet> rings_;
 
-  mutable std::mutex mu_;
-  std::vector<std::shared_ptr<TraceRing>> rings_;
+  mutable std::mutex mu_;  ///< guards the display names
   std::map<u32, std::string> process_names_;
   std::map<std::pair<u32, u32>, std::string> thread_names_;
-  std::atomic<u32> next_tid_{1};
+  std::atomic<u64> drops_exported_{0};  ///< already in a registry
 };
 
 /// Pre-create the tracer metric families in `reg` at zero.
 void declare_trace_metrics(MetricsRegistry& reg);
 
-/// Export the tracer's cumulative drop count into `reg` as
-/// `ceresz_obs_trace_dropped_total`. Call once per flush (the counter
-/// is monotonic; re-exporting the same tracer would double-count).
-void export_trace_metrics(const Tracer& tracer, MetricsRegistry& reg);
+/// Add the tracer's drops since its previous export into `reg` as
+/// `ceresz_obs_trace_dropped_total`. Safe to call on every scrape and
+/// again at shutdown: each drop is counted once.
+void export_trace_metrics(Tracer& tracer, MetricsRegistry& reg);
 
 /// RAII scoped span: records one complete ('X') event covering its own
 /// lifetime. Null-tracer-safe (does nothing, reads no clock).

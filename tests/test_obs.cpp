@@ -6,6 +6,8 @@
 // checked line-by-line against the text exposition grammar).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <barrier>
 #include <cmath>
 #include <cstdlib>
 #include <regex>
@@ -14,10 +16,12 @@
 #include <vector>
 
 #include "engine/engine_stats.h"
+#include "engine/parallel_engine.h"
 #include "mapping/wafer_mapper.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "wse/fabric.h"
+#include "test_util.h"
 
 namespace ceresz {
 namespace {
@@ -433,16 +437,133 @@ TEST(Tracer, RingOverflowIsBoundedPerThread) {
 
 TEST(Tracer, ThreadsGetSeparateRings) {
   obs::Tracer tracer(/*ring_capacity=*/4);
-  auto burst = [&tracer] {
+  // Both threads hold their rings at once: a thread that had exited
+  // would hand its ring to the other.
+  std::barrier both_live(2);
+  auto burst = [&] {
     for (int i = 0; i < 10; ++i) tracer.instant("t", "test");
+    both_live.arrive_and_wait();
   };
   std::thread a(burst), b(burst);
   a.join();
   b.join();
   // 4 survivors per thread, 6 drops per thread — rings never share.
+  EXPECT_EQ(tracer.rings(), 2u);
   EXPECT_EQ(tracer.events_recorded(), 20u);
   EXPECT_EQ(tracer.events_dropped(), 12u);
   EXPECT_EQ(tracer.snapshot_events().size(), 8u);
+}
+
+TEST(Tracer, AnExitedThreadHandsItsRingToTheNextThread) {
+  obs::Tracer tracer(/*ring_capacity=*/8);
+  u32 first_tid = 0;
+  std::thread([&] {
+    first_tid = tracer.thread_id();
+    for (int i = 0; i < 3; ++i) tracer.instant("first", "test", "i", i);
+  }).join();
+  u32 second_tid = 0;
+  std::thread([&] {
+    second_tid = tracer.thread_id();
+    tracer.instant("second", "test");
+  }).join();
+  EXPECT_EQ(tracer.rings(), 1u);
+  EXPECT_EQ(second_tid, first_tid);
+  auto count = [&](std::string_view name) {
+    std::size_t n = 0;
+    for (const obs::TraceEvent& ev : tracer.snapshot_events()) {
+      n += name == ev.name;
+    }
+    return n;
+  };
+  // The first thread's events stay until the ring's next owner wraps it.
+  EXPECT_EQ(count("first"), 3u);
+  std::thread([&] {
+    for (int i = 0; i < 8; ++i) tracer.instant("third", "test");
+  }).join();
+  EXPECT_EQ(tracer.rings(), 1u);
+  EXPECT_EQ(count("first"), 0u);
+  EXPECT_EQ(count("second"), 0u);
+  EXPECT_EQ(count("third"), 8u);
+}
+
+/// 50 traced compress calls on a 2-thread engine: each call starts a
+/// pool of 2 new worker threads.
+void run_traced_engine_calls(obs::Tracer& tracer) {
+  engine::EngineOptions opt;
+  opt.threads = 2;
+  opt.chunk_elems = 4096;
+  opt.tracer = &tracer;
+  const engine::ParallelEngine eng(opt);
+  const std::vector<f32> data = test::smooth_signal(16 * 1024);
+  for (int i = 0; i < 50; ++i) {
+    eng.compress(data, core::ErrorBound::relative(1e-3));
+  }
+}
+
+TEST(Tracer, RingsAreBoundedByLiveThreads) {
+  obs::Tracer tracer(/*ring_capacity=*/256);
+  run_traced_engine_calls(tracer);
+  // The caller plus the 2 workers alive at once; each call's workers
+  // reuse the rings the previous call's workers handed back.
+  EXPECT_LE(tracer.rings(), 3u);
+}
+
+TEST(Tracer, ThreadNamesAreBoundedByRings) {
+  obs::Tracer tracer(/*ring_capacity=*/256);
+  run_traced_engine_calls(tracer);
+  const JsonValue root = JsonParser(tracer.chrome_trace_json()).parse();
+  std::size_t thread_names = 0;
+  for (const JsonValue& e : root.at("traceEvents").array) {
+    thread_names += e.at("name").str == "thread_name";
+  }
+  // Each pool names its 2 workers, and every pool's workers reuse the
+  // same 2 rings, so the names overwrite each other.
+  EXPECT_GT(thread_names, 0u);
+  EXPECT_LE(thread_names, 2u);
+  EXPECT_LE(thread_names, tracer.rings());
+}
+
+TEST(Tracer, SnapshotWhileRecordingSeesWholeEvents) {
+  // Small rings so that writers lap the slots a reader is copying.
+  obs::Tracer tracer(/*ring_capacity=*/64);
+  std::atomic<int> started{0};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 4; ++w) {
+    writers.emplace_back([&, w] {
+      for (i64 i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        const i64 v = i * 4 + w;
+        const u64 u = static_cast<u64>(v);
+        tracer.record(obs::TraceEvent{"whole", "test", 'X', obs::kHostPid,
+                                      0, u, u, "a", v, "b", v, u, u, u});
+        if (i == 0) started.fetch_add(1);
+      }
+    });
+  }
+  while (started.load() < 4) std::this_thread::yield();
+  u64 events_read = 0;
+  u64 torn = 0;
+  for (int round = 0; round < 200; ++round) {
+    for (const obs::TraceEvent& ev : tracer.snapshot_events()) {
+      const u64 v = static_cast<u64>(ev.arg1);
+      torn += std::string_view(ev.name) != "whole" || ev.arg2 != ev.arg1 ||
+              ev.ts_ns != v || ev.dur_ns != v || ev.trace_id != v ||
+              ev.span_id != v || ev.parent_span_id != v;
+      ++events_read;
+    }
+    if (round % 20 == 0) {
+      const JsonValue root = JsonParser(tracer.chrome_trace_json()).parse();
+      for (const JsonValue& e : root.at("traceEvents").array) {
+        if (e.at("ph").str == "M") continue;
+        torn += e.at("args").at("a").number != e.at("args").at("b").number;
+      }
+    }
+  }
+  stop = true;
+  for (auto& t : writers) t.join();
+  EXPECT_GT(events_read, 0u);
+  EXPECT_EQ(torn, 0u);
+  EXPECT_EQ(tracer.rings(), 4u);
 }
 
 TEST(SpanGuard, NullTracerIsNoop) {
@@ -711,9 +832,11 @@ TEST(TraceMetrics, RingOverflowExportedAsDroppedCounter) {
   for (int i = 0; i < 100; ++i) tracer.instant("tick", "test");
   obs::export_trace_metrics(tracer, reg);
   EXPECT_EQ(reg.snapshot().counter_value(obs::kMetricTraceDropped), 92u);
+  // Exporting the same tracer again adds only drops since the last one.
+  obs::export_trace_metrics(tracer, reg);
+  EXPECT_EQ(reg.snapshot().counter_value(obs::kMetricTraceDropped), 92u);
 
-  // A clean tracer contributes nothing (export adds, so callers export
-  // once per tracer at flush time).
+  // A clean tracer contributes nothing.
   obs::Tracer clean;
   clean.instant("t", "test");
   obs::export_trace_metrics(clean, reg);

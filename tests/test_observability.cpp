@@ -1,5 +1,5 @@
 // Observability suite: structured logging (obs::Logger), the ambient
-// trace context, the SpanLog/TelemetryEndpoint live plane, the CSNP v4
+// trace context, the TelemetryEndpoint live plane, the CSNP v4
 // trace wire (fuzz + v3-client-vs-v4-server compat), the cross-process
 // trace stitcher, and perfgate record provenance.
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <set>
 #include <sstream>
 #include <string>
@@ -21,6 +22,7 @@
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
+#include "obs/analysis/json.h"
 #include "obs/analysis/stitch.h"
 #include "obs/analysis/trace_analysis.h"
 #include "obs/log.h"
@@ -206,27 +208,7 @@ TEST(TraceContext, IdsAreUniqueNonzeroAnd48Bit) {
   EXPECT_EQ(span_ids.size(), 1000u);
 }
 
-// --- SpanLog and the telemetry endpoint -------------------------------------
-
-TEST(SpanLog, DropsOldestKeepsCountAndRendersJson) {
-  SpanLog log(/*capacity=*/4);
-  for (u64 i = 1; i <= 6; ++i) {
-    SpanRecord rec;
-    rec.trace_id = i;
-    rec.request_id = i;
-    rec.name = "server.request";
-    rec.status = "OK";
-    log.push(rec);
-  }
-  EXPECT_EQ(log.pushed(), 6u);
-  const auto snap = log.snapshot();
-  ASSERT_EQ(snap.size(), 4u);
-  EXPECT_EQ(snap.front().trace_id, 3u);  // 1 and 2 dropped
-  EXPECT_EQ(snap.back().trace_id, 6u);
-  const std::string json = log.to_json();
-  EXPECT_NE(json.find("\"pushed\":6"), std::string::npos);
-  EXPECT_NE(json.find("\"trace_id\":6"), std::string::npos);
-}
+// --- the telemetry endpoint ------------------------------------------------
 
 /// Minimal loopback HTTP GET, enough for the telemetry endpoint.
 std::string http_get(u16 port, const std::string& path) {
@@ -253,21 +235,45 @@ std::string http_get(u16 port, const std::string& path) {
   return response;
 }
 
+/// Record a server.request root the way net/server.cpp does: status as
+/// its category, request and tenant id as its args.
+void record_request_root(Tracer& tracer, u64 trace_id, i64 request_id) {
+  TraceEvent ev;
+  ev.name = "server.request";
+  ev.cat = "OK";
+  ev.arg1_name = "request_id";
+  ev.arg1 = request_id;
+  ev.arg2_name = "tenant_id";
+  ev.trace_id = trace_id;
+  ev.span_id = next_span_id();
+  tracer.record(ev);
+}
+
+/// The body of an HTTP response.
+std::string body_of(const std::string& response) {
+  const std::size_t at = response.find("\r\n\r\n");
+  return at == std::string::npos ? std::string() : response.substr(at + 4);
+}
+
+/// The server.request roots among the tracer's events.
+std::vector<TraceEvent> request_roots(const Tracer& tracer) {
+  std::vector<TraceEvent> roots;
+  for (const TraceEvent& ev : tracer.snapshot_events()) {
+    if (std::string_view(ev.name) == "server.request") roots.push_back(ev);
+  }
+  return roots;
+}
+
 TEST(Telemetry, ServesMetricsHealthzAndTracez) {
   MetricsRegistry reg;
   reg.counter("ceresz_test_requests_total").add(3);
-  SpanLog spans;
-  SpanRecord rec;
-  rec.trace_id = 0xfeed;
-  rec.request_id = 9;
-  rec.name = "server.request";
-  rec.status = "OK";
-  spans.push(rec);
+  Tracer tracer;
+  record_request_root(tracer, 0xfeed, 9);
 
   TelemetryOptions opt;
   opt.port = 0;
   opt.metrics = &reg;
-  opt.spans = &spans;
+  opt.tracer = &tracer;
   TelemetryEndpoint endpoint(opt);
   endpoint.start();
   ASSERT_NE(endpoint.port(), 0);
@@ -291,6 +297,111 @@ TEST(Telemetry, ServesMetricsHealthzAndTracez) {
   EXPECT_NE(http_get(endpoint.port(), "/nope").find("404"),
             std::string::npos);
   EXPECT_GE(endpoint.requests_served(), 5u);
+  endpoint.stop();
+}
+
+TEST(Telemetry, TracezAnswers404WithoutATracer) {
+  MetricsRegistry reg;
+  TelemetryOptions opt;
+  opt.metrics = &reg;
+  TelemetryEndpoint endpoint(opt);
+  endpoint.start();
+  EXPECT_NE(http_get(endpoint.port(), "/tracez").find("404"),
+            std::string::npos);
+  EXPECT_NE(http_get(endpoint.port(), "/metrics").find("200"),
+            std::string::npos);
+}
+
+TEST(Telemetry, MetricsScrapeExportsTraceDropsLive) {
+  MetricsRegistry reg;
+  declare_trace_metrics(reg);
+  Tracer tracer(/*ring_capacity=*/8);
+  TelemetryOptions opt;
+  opt.metrics = &reg;
+  opt.tracer = &tracer;
+  TelemetryEndpoint endpoint(opt);
+  endpoint.start();
+
+  const std::string metric = std::string(kMetricTraceDropped) + " ";
+  EXPECT_NE(http_get(endpoint.port(), "/metrics").find(metric + "0"),
+            std::string::npos);
+  for (int i = 0; i < 100; ++i) tracer.instant("tick", "test");
+  EXPECT_NE(http_get(endpoint.port(), "/metrics").find(metric + "92"),
+            std::string::npos);
+  // A second scrape with no new drops adds nothing.
+  EXPECT_NE(http_get(endpoint.port(), "/metrics").find(metric + "92"),
+            std::string::npos);
+  for (int i = 0; i < 10; ++i) tracer.instant("tick", "test");
+  EXPECT_NE(http_get(endpoint.port(), "/metrics").find(metric + "102"),
+            std::string::npos);
+}
+
+TEST(Telemetry, TracezWhileRequestsAreInFlight) {
+  Tracer tracer;
+  net::ServerOptions sopt;
+  sopt.port = 0;
+  sopt.workers = 2;
+  sopt.engine.threads = 2;
+  sopt.engine.chunk_elems = 2048;
+  sopt.tracer = &tracer;
+  net::ServiceServer server(std::move(sopt));
+  server.start();
+  TelemetryOptions topt;
+  topt.metrics = &server.metrics();
+  topt.tracer = &tracer;
+  TelemetryEndpoint endpoint(topt);
+  endpoint.start();
+
+  const auto data = test::smooth_signal(8192);
+  const auto bound = core::ErrorBound::relative(1e-3);
+  std::atomic<bool> done{false};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 2; ++c) {
+    clients.emplace_back([&] {
+      net::CereszClient client;
+      client.connect("127.0.0.1", server.port());
+      for (int i = 0; i < 20; ++i) {
+        const auto stream = client.compress(data, bound);
+        EXPECT_EQ(client.decompress(stream).size(), data.size());
+      }
+    });
+  }
+  std::thread scraper([&] {
+    while (!done.load()) {
+      const std::string response = http_get(endpoint.port(), "/tracez");
+      EXPECT_NE(response.find("200"), std::string::npos);
+      EXPECT_NO_THROW(parse_json(body_of(response)));
+    }
+  });
+  for (auto& t : clients) t.join();
+  done = true;
+  scraper.join();
+  server.stop();  // joins the workers: every root and write span is in
+
+  // Each root shows its trace id, status and phases, and its engine
+  // span names the op.
+  const JsonValue tracez =
+      parse_json(body_of(http_get(endpoint.port(), "/tracez")));
+  const std::vector<JsonValue>& requests = tracez.at("requests").array;
+  ASSERT_EQ(requests.size(), 80u);
+  std::set<std::string> ops;
+  for (const JsonValue& r : requests) {
+    EXPECT_NE(r.number_or("trace_id", 0), 0.0);
+    EXPECT_EQ(r.string_or("status", ""), "OK");
+    std::set<std::string> names;
+    for (const JsonValue& span : r.at("spans").array) {
+      names.insert(span.string_or("name", ""));
+    }
+    for (const char* phase : {"server.queue_wait", "server.decode",
+                              "server.engine", "server.encode",
+                              "server.write"}) {
+      EXPECT_TRUE(names.count(phase)) << phase;
+    }
+    for (const char* op : {"engine.compress", "engine.decompress"}) {
+      if (names.count(op)) ops.insert(op);
+    }
+  }
+  EXPECT_EQ(ops.size(), 2u);
   endpoint.stop();
 }
 
@@ -378,8 +489,8 @@ TEST(ProtocolV4, V3ClientAgainstV4ServerRoundTripsByteIdentically) {
   opt.workers = 2;
   opt.engine.threads = 2;
   opt.engine.chunk_elems = 2048;
-  SpanLog span_log;
-  opt.span_log = &span_log;
+  Tracer tracer;
+  opt.tracer = &tracer;
   net::ServiceServer server(std::move(opt));
   server.start();
 
@@ -406,13 +517,13 @@ TEST(ProtocolV4, V3ClientAgainstV4ServerRoundTripsByteIdentically) {
 
   // The v3 frames carried no trace context, but the server synthesized
   // a trace id: every completed request is attributable regardless of
-  // the client's wire version. (Records are pushed after the response
+  // the client's wire version. (Roots are recorded after the response
   // write — stop() joins the workers so all three are visible.)
   server.stop();
-  const auto spans = span_log.snapshot();
-  ASSERT_GE(spans.size(), 3u);
-  for (const auto& s : spans) {
-    EXPECT_NE(s.trace_id, 0u) << s.name;
+  const std::vector<TraceEvent> roots = request_roots(tracer);
+  ASSERT_GE(roots.size(), 3u);
+  for (const TraceEvent& root : roots) {
+    EXPECT_NE(root.trace_id, 0u) << root.arg1;
   }
 }
 

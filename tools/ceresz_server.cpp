@@ -18,11 +18,14 @@
 // Observability (docs/observability.md):
 //   --telemetry-port starts a loopback HTTP endpoint next to the CSNP
 //     port — GET /metrics (Prometheus), /healthz (200, or 503 while
-//     draining), /tracez (recent completed-request spans as JSON).
-//   --trace-out records every request's distributed span tree (CSNP v4
-//     trace context; v3 clients get server-synthesized trace ids) and
-//     writes a Chrome trace on exit, stitchable against a client trace
-//     with `ceresz_report --stitch`.
+//     draining), /tracez (recent requests and their phase spans as
+//     JSON).
+//   --trace-out or --telemetry-port records every request's distributed
+//     span tree (CSNP v4 trace context; v3 clients get server-synthesized
+//     trace ids) in memory, in rings bounded per live thread. /tracez
+//     reads them live; --trace-out writes them as a Chrome trace on
+//     exit, stitchable against a client trace with `ceresz_report
+//     --stitch`.
 //   Lifecycle and error-path events go to stderr as JSON lines through
 //   the rate-limited obs::Logger (--log-level, --log-rate); the
 //   "listening on" line CI greps stays on stdout.
@@ -90,7 +93,8 @@ int usage() {
       "                    (.prom = Prometheus text, else JSON)\n"
       "  --telemetry-port P  serve GET /metrics, /healthz, /tracez over\n"
       "                    HTTP on 127.0.0.1:P (0 picks an ephemeral\n"
-      "                    port; printed on startup; default off)\n"
+      "                    port; printed on startup; default off);\n"
+      "                    records request spans in memory for /tracez\n"
       "  --trace-out F     record per-request distributed span trees and\n"
       "                    write a Chrome trace file on shutdown\n"
       "  --log-level L     stderr JSON-lines log level: debug, info,\n"
@@ -235,17 +239,16 @@ int main(int argc, char** argv) {
 
   try {
     obs::Logger logger(log_opt);
-    obs::SpanLog span_log;
     std::unique_ptr<obs::Tracer> tracer;
-    if (!trace_out.empty()) {
+    if (!trace_out.empty() || telemetry) {
       tracer = std::make_unique<obs::Tracer>();
       tracer->set_process_name(obs::kHostPid, "ceresz_server");
     }
     opt.logger = &logger;
-    opt.span_log = &span_log;
     opt.tracer = tracer.get();
 
     net::ServiceServer server(std::move(opt));
+    if (tracer != nullptr) obs::declare_trace_metrics(server.metrics());
     server.start();
 
     std::unique_ptr<obs::TelemetryEndpoint> endpoint;
@@ -253,7 +256,7 @@ int main(int argc, char** argv) {
       obs::TelemetryOptions topt;
       topt.port = telemetry_port;
       topt.metrics = &server.metrics();
-      topt.spans = &span_log;
+      topt.tracer = tracer.get();
       topt.logger = &logger;
       endpoint = std::make_unique<obs::TelemetryEndpoint>(topt);
       endpoint->start();
@@ -302,8 +305,8 @@ int main(int argc, char** argv) {
     server.stop();
     if (endpoint) endpoint->stop();
 
-    if (tracer != nullptr && !trace_out.empty()) {
-      obs::export_trace_metrics(*tracer, server.metrics());
+    if (tracer != nullptr) obs::export_trace_metrics(*tracer, server.metrics());
+    if (!trace_out.empty()) {
       std::ofstream out(trace_out, std::ios::binary);
       if (!out.good()) {
         std::fprintf(stderr, "ceresz_server: cannot write %s\n",
